@@ -2,6 +2,7 @@
 
 Operators are stored as ``{"labels": [{"name": "A", "dim": 2}, ...],
 "re": [[...]], "im": [[...]]}``; vectors use flat "amp_re"/"amp_im" lists.
+On input, labels may also be ``[name, dim]`` pairs (``[["A", 2], ...]``).
 Floats are written with 17 significant digits, enough for an exact float64
 round trip; the stdlib encoder's shortest-repr output is not used so the
 emitted byte strings stay stable across interpreter versions.
@@ -39,14 +40,13 @@ def dumps(value: Any, indent: int | None = None) -> str:
 def _emit(v: Any, out: list[str], indent: int | None, depth: int) -> None:
     nl = "" if indent is None else "\n" + " " * (indent * (depth + 1))
     nl_close = "" if indent is None else "\n" + " " * (indent * depth)
-    sep = "," if indent is None else ","
     if isinstance(v, dict):
         out.append("{")
         for i, (k, item) in enumerate(v.items()):
             if not isinstance(k, str):
                 raise TypeError(f"JSON object keys must be str, got {type(k)}")
             if i:
-                out.append(sep)
+                out.append(",")
             out.append(nl)
             out.append(json.dumps(k))
             out.append(": " if indent is not None else ":")
@@ -57,7 +57,7 @@ def _emit(v: Any, out: list[str], indent: int | None, depth: int) -> None:
         out.append("[")
         for i, item in enumerate(v):
             if i:
-                out.append(sep)
+                out.append(",")
             out.append(nl)
             _emit(item, out, indent, depth + 1)
         out.append(nl_close)
@@ -84,8 +84,16 @@ def _labels_to_json(sp: LabeledSpace) -> list[dict]:
     return [{"name": n, "dim": d} for n, d in sp.labels]
 
 
-def _labels_from_json(labels: list[dict]) -> LabeledSpace:
-    return LabeledSpace(tuple((l["name"], int(l["dim"])) for l in labels))
+def _labels_from_json(labels: list) -> LabeledSpace:
+    """Read labels as ``{"name", "dim"}`` objects or ``[name, dim]`` pairs."""
+    pairs = []
+    for l in labels:
+        if isinstance(l, dict):
+            pairs.append((l["name"], int(l["dim"])))
+        else:
+            name, dim = l
+            pairs.append((name, int(dim)))
+    return LabeledSpace(tuple(pairs))
 
 
 def operator_to_json(op: Operator) -> dict:

@@ -198,12 +198,10 @@ def _min_gap(ws: WiringSum, rho_m: np.ndarray, n: int, *, method: str = "auto",
     def matvec(v):
         return ws.apply(v) - lhs_scale * _apply_product_power(rho_m, n, v)
 
-    if big > budget.matvec_dim:
-        raise ResourceBudgetError(f"matrix-free dimension {big} exceeds cap")
-    lam, vec = lanczos_min_eig(matvec, big)
+    lam, vec = lanczos_min_eig(matvec, big, budget=budget)
     if not math.isfinite(lam):
         shift = sum(abs(c) for c in ws.terms.values()) + abs(lhs_scale) + 0.5
-        lam, vec = min_eigenvalue_matrix_free(matvec, big, shift=shift)
+        lam, vec = min_eigenvalue_matrix_free(matvec, big, shift=shift, budget=budget)
     return lam, vec
 
 

@@ -8,7 +8,10 @@ Three layers live here:
 * a wiring engine that partial-traces a permutation operator over any subset
   of (slot, label) wires without materializing the big space — each traced
   permutation collapses to (product of loop dimension factors) x (a
-  permutation of the kept wires);
+  permutation of the kept wires).  A ``WiringSum`` merges such terms with
+  real coefficients and compiles them once into real CSR arrays, so each
+  matvec is a single gather over the merged nonzeros and the dense form is a
+  single scatter;
 
 * the biriffle evaluation of Tr(symmetric-average (X_1 x ... x X_k)) as a sum
   over double cosets of S_n^k in S_{nk}, with a full-permutation-sum oracle.
@@ -294,40 +297,111 @@ def traced_permutation(layout: SlotLayout, perm: Sequence[int]) -> WiringOperato
     return WiringOperator(scalar, sigma, layout.axis_dims)
 
 
+_COMPILE_ROWS = 64          # rows per block while compiling the CSR arrays
+_GATHER_ENTRIES = 1 << 15   # nonzeros gathered per chunk in ``WiringSum.apply``
+
+
 class WiringSum:
     """A real-linear combination of wiring operators on a common layout.
 
-    Collects coefficient-weighted axis permutations (merging repeats), and
-    exposes dense materialization plus a matrix-free matvec.
+    ``terms`` maps each kept-wire axis permutation to its real coefficient;
+    ``add`` merges repeats.  The sum of axis permutations is a sparse real
+    matrix with at most ``len(terms)`` entries per row.  On the first
+    ``apply`` or ``to_matrix`` the terms are compiled once into CSR arrays
+    (``vals`` float64, ``cols`` int32, ``indptr`` int64; entries whose
+    coefficients cancel stay as explicit zeros, so every row of a non-empty
+    sum has at least one entry).  A matvec is then one gather-multiply-reduce
+    over those arrays.  ``add`` drops the compiled arrays; mutate the sum
+    through ``add`` only.
     """
 
     def __init__(self, layout: SlotLayout):
         self.layout = layout
-        self.terms: dict[tuple[int, ...], complex] = {}
+        self.terms: dict[tuple[int, ...], float] = {}
+        self._csr: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
-    def add(self, wiring: WiringOperator, coeff: complex = 1.0) -> None:
+    def add(self, wiring: WiringOperator, coeff: float = 1.0) -> None:
         if wiring.dims != self.layout.axis_dims:
             raise ValueError("wiring axis dimensions do not match the layout")
+        c = complex(coeff)
+        if c.imag != 0:
+            raise ValueError(f"wiring coefficients must be real, got {coeff!r}")
         key = wiring.perm
-        self.terms[key] = self.terms.get(key, 0.0) + coeff * wiring.scalar
+        self.terms[key] = self.terms.get(key, 0.0) + c.real * wiring.scalar
+        self._csr = None
+
+    def _compiled(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        if self._csr is None:
+            self._csr = self._compile()
+        return self._csr
+
+    def _compile(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(vals, cols, indptr) of the merged sum, built in two passes over
+        row blocks (count, then fill) so transients stay block-sized.
+
+        Row r of the permutation with content-of-axis-a -> axis perm[a] reads
+        source index sum_a strides[inv(perm)[a]] * r_a.
+        """
+        dims = self.layout.axis_dims
+        big = self.layout.out_dim
+        indptr = np.zeros(big + 1, dtype=np.int64)
+        if not self.terms:
+            return np.zeros(0), np.zeros(0, dtype=np.int32), indptr
+        strides = np.array([math.prod(dims[a + 1:]) for a in range(len(dims))],
+                           dtype=np.int64)
+        coeffs = np.fromiter(self.terms.values(), dtype=np.float64)
+        q = np.array([strides[np.argsort(p)] for p in self.terms], dtype=np.int64)
+        radix = np.array(dims, dtype=np.int64)[:, None]
+
+        def block_sources(lo: int, hi: int) -> np.ndarray:
+            multi = np.arange(lo, hi) // strides[:, None] % radix  # (axes, rows)
+            return (q @ multi).T                                 # (rows, terms)
+
+        for lo in range(0, big, _COMPILE_ROWS):
+            hi = min(lo + _COMPILE_ROWS, big)
+            s = np.sort(block_sources(lo, hi), axis=1)
+            indptr[lo + 1:hi + 1] = 1 + np.count_nonzero(np.diff(s, axis=1), axis=1)
+        np.cumsum(indptr, out=indptr)
+        vals = np.empty(indptr[-1], dtype=np.float64)
+        cols = np.empty(indptr[-1], dtype=np.int32)
+        for lo in range(0, big, _COMPILE_ROWS):
+            hi = min(lo + _COMPILE_ROWS, big)
+            src = block_sources(lo, hi)
+            order = np.argsort(src, axis=1, kind="stable")
+            s = np.take_along_axis(src, order, axis=1)
+            first = np.ones(s.shape, dtype=bool)
+            first[:, 1:] = s[:, 1:] != s[:, :-1]
+            starts = np.flatnonzero(first)
+            a, b = indptr[lo], indptr[hi]
+            cols[a:b] = s.ravel()[starts]
+            vals[a:b] = np.add.reduceat(coeffs[order].ravel(), starts)
+        return vals, cols, indptr
 
     def apply(self, vec: np.ndarray) -> np.ndarray:
-        dims = self.layout.axis_dims
-        out = np.zeros(self.layout.out_dim, dtype=np.complex128)
-        for perm, c in self.terms.items():
-            out += c * apply_slot_permutation(vec, dims, perm)
+        vals, cols, indptr = self._compiled()
+        big = self.layout.out_dim
+        v = np.asarray(vec, dtype=np.complex128).reshape(-1)
+        if v.shape[0] != big:
+            raise ValueError(f"vector length {v.shape[0]} != layout dimension {big}")
+        out = np.zeros(big, dtype=np.complex128)
+        if not len(vals):
+            return out
+        step = max(1, _GATHER_ENTRIES * big // len(vals))
+        for r0 in range(0, big, step):
+            r1 = min(r0 + step, big)
+            lo, hi = indptr[r0], indptr[r1]
+            g = v[cols[lo:hi]]
+            g *= vals[lo:hi]
+            out[r0:r1] = np.add.reduceat(g, indptr[r0:r1] - lo)
         return out
 
     def to_matrix(self, budget: Budgets = BUDGET) -> np.ndarray:
         big = self.layout.out_dim
         if big > budget.dense_dim:
             raise ResourceBudgetError(f"dense wiring sum dimension {big} exceeds cap")
-        dims = self.layout.axis_dims
-        col_multi = np.array(np.unravel_index(np.arange(big), dims)) \
-            if dims else np.zeros((0, 1), dtype=int)
+        vals, cols, indptr = self._compiled()
         out = np.zeros((big, big), dtype=np.complex128)
-        for perm, c in sorted(self.terms.items()):
-            _accumulate_axis_perm(out, dims, perm, c, col_multi)
+        out[np.repeat(np.arange(big), np.diff(indptr)), cols] = vals
         return out
 
     def to_operator(self, budget: Budgets = BUDGET) -> Operator:
@@ -335,14 +409,14 @@ class WiringSum:
 
 
 def traced_permutation_sum(layout: SlotLayout,
-                           weight_of_type: Callable[[Partition], complex],
+                           weight_of_type: Callable[[Partition], float],
                            budget: Budgets = BUDGET) -> WiringSum:
     """Sum over all slot permutations of weight(cycle type) x traced wiring."""
     n = layout.nslots
     if math.factorial(n) > budget.perms_matrix_free:
         raise ResourceBudgetError(
             f"{n}! permutation terms exceed cap {budget.perms_matrix_free}")
-    weights: dict[tuple[int, ...], complex] = {}
+    weights: dict[tuple[int, ...], float] = {}
     for t in all_cycle_types(n):
         weights[t.parts] = weight_of_type(t)
     out = WiringSum(layout)

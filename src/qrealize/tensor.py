@@ -371,6 +371,7 @@ def min_eigenvalue_matrix_free(
     tol: float = 1e-8,
     max_iter: int = 10_000,
     seed: int = 7,
+    budget: Budgets = BUDGET,
 ) -> tuple[float, np.ndarray]:
     """Smallest eigenvalue of a Hermitian operator given only a matvec closure.
 
@@ -380,8 +381,8 @@ def min_eigenvalue_matrix_free(
     known dense form); when omitted it is estimated by power iteration on H
     itself, padded by 1%.
     """
-    if dim > BUDGET.matvec_dim:
-        raise ResourceBudgetError(f"matrix-free dimension {dim} exceeds cap {BUDGET.matvec_dim}")
+    if dim > budget.matvec_dim:
+        raise ResourceBudgetError(f"matrix-free dimension {dim} exceeds cap {budget.matvec_dim}")
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     v /= np.linalg.norm(v)
@@ -419,6 +420,7 @@ def lanczos_min_eig(
     cycles: int = 40,
     tol: float = 1e-9,
     seed: int = 7,
+    budget: Budgets = BUDGET,
 ) -> tuple[float, np.ndarray]:
     """Smallest eigenvalue of a Hermitian operator via restarted Lanczos.
 
@@ -428,10 +430,11 @@ def lanczos_min_eig(
     overestimate the true minimum: a reported negative eigenvalue is always
     genuine, which is what a one-sided feasibility verdict needs.  Stops when
     the Ritz residual drops below ``tol`` times the observed spectral spread,
-    or when restarts stop improving the estimate.
+    or when restarts stop improving the estimate.  ``dim`` is checked against
+    ``budget.matvec_dim``.
     """
-    if dim > BUDGET.matvec_dim:
-        raise ResourceBudgetError(f"matrix-free dimension {dim} exceeds cap {BUDGET.matvec_dim}")
+    if dim > budget.matvec_dim:
+        raise ResourceBudgetError(f"matrix-free dimension {dim} exceeds cap {budget.matvec_dim}")
     block = max(4, min(block, dim))
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
@@ -439,8 +442,8 @@ def lanczos_min_eig(
     spread = 1.0
     best_theta = math.inf
     best_vec = v
+    basis = np.empty((block, dim), dtype=np.complex128)
     for cycle in range(cycles):
-        basis = np.empty((block, dim), dtype=np.complex128)
         alphas: list[float] = []
         betas: list[float] = []
         basis[0] = v
@@ -452,9 +455,10 @@ def lanczos_min_eig(
             w = w - a * basis[j]
             if j > 0:
                 w = w - betas[-1] * basis[j - 1]
-            # full reorthogonalization, twice for safety
+            # full reorthogonalization, twice for safety; conjugating the
+            # product instead of the basis avoids a (j+1, dim) copy
             for _ in range(2):
-                coeffs = basis[: j + 1].conj() @ w
+                coeffs = (basis[: j + 1] @ w.conj()).conj()
                 w = w - coeffs @ basis[: j + 1]
             b = float(np.linalg.norm(w))
             if j + 1 == block or j + 1 == dim:

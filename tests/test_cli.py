@@ -1,6 +1,10 @@
 """End-to-end command-line behaviour through the click test runner."""
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -296,3 +300,53 @@ def test_outputs_are_byte_identical_across_runs(runner, tmp_path):
     two = runner.invoke(main, ["qmp", "check", ab, ac, bc])
     assert one.output == two.output
     assert json.loads(one.output)["verdict"] == "VIOLATED"
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _readme_block(lang):
+    text = README.read_text(encoding="utf-8")
+    return text.split(f"```{lang}\n", 1)[1].split("```", 1)[0]
+
+
+def _readme_operator(path, names, mat):
+    """The README's operator JSON, placeholders filled, labels renamed."""
+    text = _readme_block("json")
+    assert '"labels": [["A", 2], ["B", 2]]' in text
+    text = text.replace('["A", 2], ["B", 2]', f'["{names[0]}", 2], ["{names[1]}", 2]')
+    text = text.replace('"re": [[...], ...]', f'"re": {json.dumps(mat.real.tolist())}')
+    text = text.replace('"im": [[...], ...]', f'"im": {json.dumps(mat.imag.tolist())}')
+    path.write_text(text, encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize("mat,code,verdict", [
+    (np.eye(4) / 4, 1, "VIOLATED"),
+    (np.diag([0.5, 0.0, 0.0, 0.5]).astype(complex), 0, "CONSISTENT_AT_LEVEL"),
+])
+def test_readme_check_example_runs_as_written(runner, tmp_path, monkeypatch, mat, code,
+                                              verdict):
+    monkeypatch.chdir(tmp_path)
+    _readme_operator(tmp_path / "rho_ab.json", "AB", mat)
+    _readme_operator(tmp_path / "rho_bc.json", "BC", mat)
+    res = runner.invoke(main, ["qmp", "check", "rho_ab.json", "rho_bc.json",
+                               "--level", "2", "--out", "cert.json"])
+    assert res.exit_code == code, res.output
+    assert json.loads((tmp_path / "cert.json").read_text())["verdict"] == verdict
+
+
+def test_readme_library_example_prints_its_comment(capsys):
+    exec(compile(_readme_block("python"), str(README), "exec"), {})
+    verdict, gap = capsys.readouterr().out.split()
+    assert verdict == "VIOLATED"
+    assert gap.startswith("-0.1298")
+
+
+def test_cli_import_does_not_load_scipy():
+    """A cold CLI run pays for every import; scipy.sparse alone costs ~0.2 s."""
+    code = ("import sys, qrealize.cli; "
+            "sys.exit(any(m.startswith('scipy') for m in sys.modules))")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0

@@ -86,6 +86,19 @@ def test_operator_from_json_defaults_imaginary_to_zero():
     assert np.array_equal(op.mat, np.diag([1.0, 0.0]).astype(complex))
 
 
+def test_operator_from_json_accepts_label_pairs():
+    pairs = {"labels": [["A", 2], ["B", 2]], "re": np.eye(4).tolist()}
+    dicts = {"labels": [{"name": "A", "dim": 2}, {"name": "B", "dim": 2}],
+             "re": np.eye(4).tolist()}
+    assert operator_from_json(pairs).space == operator_from_json(dicts).space
+
+
+def test_operator_from_json_rejects_malformed_labels():
+    for labels in (["A"], [["A", 2, 3]], [["A", "two"]]):
+        with pytest.raises((TypeError, ValueError)):
+            operator_from_json({"labels": labels, "re": [[1.0]]})
+
+
 def test_state_round_trip():
     sp = space(("A", 2), ("B", 2))
     amp = np.array([1.0, 1j, -1.0, -1j]) / 2.0

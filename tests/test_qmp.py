@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from qrealize.config import TOL
+from qrealize import qmp as qmp_mod
+from qrealize.config import BUDGET, TOL, ResourceBudgetError
 from qrealize.qmp import (
     VERDICT_CONSISTENT,
     VERDICT_VIOLATED,
@@ -121,6 +122,33 @@ def test_hierarchy_methods_agree():
     dense = hierarchy_check(st, 1, method="dense")
     iterative = hierarchy_check(st, 1, method="iterative")
     assert iterative.gap == pytest.approx(dense.gap, abs=1e-7)
+
+
+@pytest.mark.parametrize("p,matvecs", [(0.55, 130), (0.8, 65)])
+def test_lanczos_matvec_count_on_planted_triangle(monkeypatch, p, matvecs):
+    """Noisy singlets below p ~ 0.6 need a second Lanczos cycle; the count
+    of matvecs per check must not move when the matvec gets faster."""
+    calls = []
+    lanczos = qmp_mod.lanczos_min_eig
+
+    def counting(apply_h, dim, **kw):
+        def matvec(v):
+            calls.append(1)
+            return apply_h(v)
+        return lanczos(matvec, dim, **kw)
+
+    monkeypatch.setattr(qmp_mod, "lanczos_min_eig", counting)
+    cert = hierarchy_check(triple_product(p * SINGLET_RHO + (1 - p) * np.eye(4) / 4), 2)
+    assert cert.verdict == VERDICT_VIOLATED
+    assert len(calls) == matvecs
+
+
+def test_hierarchy_check_passes_its_budget_to_the_eigensolver():
+    st = triple_product(SINGLET_RHO)
+    with pytest.raises(ResourceBudgetError):
+        hierarchy_check(st, 2, budget=BUDGET.with_(matvec_dim=1000))
+    cert = hierarchy_check(st, 2, budget=BUDGET.with_(matvec_dim=4096))
+    assert cert.verdict == VERDICT_VIOLATED
 
 
 def test_certificate_json_round_shape():

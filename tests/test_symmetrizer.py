@@ -8,6 +8,7 @@ import pytest
 from qrealize.partitions import Partition, double_cosets, partitions_of
 from qrealize.symmetrizer import (
     SlotLayout,
+    WiringOperator,
     WiringSum,
     antisym_projector,
     bibiriffle_lower_bound,
@@ -27,6 +28,7 @@ from qrealize.symmetrizer import (
 from qrealize.partitions import specht_dim, weyl_dim
 from qrealize.tensor import (
     Operator,
+    apply_slot_permutation,
     partial_trace,
     permutation_operator,
     power_space,
@@ -285,3 +287,84 @@ def test_wiring_sum_rejects_layout_mismatch():
     ws = WiringSum(l1)
     with pytest.raises(ValueError):
         ws.add(traced_permutation(l2, (0, 1)))
+
+
+TRIANGLE = ((("A", 2), ("B", 2), ("C", 2)), (("A", "B"), ("A", "C"), ("B", "C")))
+CHAIN = ((("A", 2), ("B", 2), ("C", 2)), (("A", "B"), ("B", "C")))
+
+
+def _term_by_term_apply(ws, v):
+    out = np.zeros(ws.layout.out_dim, dtype=complex)
+    for perm, c in ws.terms.items():
+        out += c * apply_slot_permutation(v, ws.layout.axis_dims, perm)
+    return out
+
+
+def _term_by_term_matrix(ws):
+    dims = ws.layout.axis_dims
+    return sum(WiringOperator(c, perm, dims).to_matrix() for perm, c in ws.terms.items())
+
+
+def _wiring_sums(scen, n):
+    """The traced symmetrizer and the mixed-sign two-row band on one layout."""
+    layout = scenario_layout(*scen, n)
+    nslots = layout.nslots
+    return [traced_permutation_sum(layout, lambda t: 1.0 / math.factorial(nslots)),
+            traced_permutation_sum(layout, isotypic_band_weight(nslots, 2))]
+
+
+def test_compiled_apply_matches_term_by_term_sum_on_triangle_level_two():
+    rng = np.random.default_rng(31)
+    sym, band = _wiring_sums(TRIANGLE, 2)
+    assert min(band.terms.values()) < 0 < max(band.terms.values())
+    for ws in (sym, band):
+        v = rng.normal(size=4096) + 1j * rng.normal(size=4096)
+        want = _term_by_term_apply(ws, v)
+        # relative to the largest output entry (the band's reach ~1e2)
+        assert np.max(np.abs(ws.apply(v) - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("scen,n", [(TRIANGLE, 1), (CHAIN, 2)])
+def test_compiled_to_matrix_matches_term_by_term_sum(scen, n):
+    for ws in _wiring_sums(scen, n):
+        want = _term_by_term_matrix(ws)
+        got = ws.to_matrix()
+        assert got.dtype == np.complex128
+        assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+
+
+def test_add_after_apply_invalidates_compiled_form():
+    layout = scenario_layout(*TRIANGLE, 1)
+    ws = WiringSum(layout)
+    ws.add(traced_permutation(layout, (0, 1, 2)))
+    v = np.random.default_rng(2).normal(size=layout.out_dim)
+    assert np.allclose(ws.apply(v), 8 * v)
+    ws.add(traced_permutation(layout, (1, 2, 0)), -0.5)
+    assert np.allclose(ws.apply(v), _term_by_term_apply(ws, v), atol=1e-14)
+    assert np.allclose(ws.to_matrix() @ v, _term_by_term_apply(ws, v), atol=1e-14)
+
+
+def test_empty_wiring_sum_is_zero():
+    ws = WiringSum(scenario_layout(*CHAIN, 1))
+    assert np.array_equal(ws.apply(np.ones(16)), np.zeros(16))
+    assert np.array_equal(ws.to_matrix(), np.zeros((16, 16)))
+
+
+def test_wiring_sum_without_kept_wires_is_a_scalar():
+    layout = SlotLayout(2, (("A", 2),), ())
+    ws = WiringSum(layout)
+    ws.add(traced_permutation(layout, (1, 0)), 0.25)
+    ws.add(traced_permutation(layout, (0, 1)), 0.25)
+    # one loop (d = 2) plus two loops (d^2 = 4)
+    assert ws.apply(np.ones(1)) == pytest.approx(1.5)
+    assert ws.to_matrix() == pytest.approx(np.array([[1.5]]))
+
+
+def test_wiring_sum_coefficients_are_real():
+    layout = scenario_layout(*CHAIN, 1)
+    ws = WiringSum(layout)
+    wiring = traced_permutation(layout, (1, 0))
+    with pytest.raises(ValueError):
+        ws.add(wiring, 0.5j)
+    ws.add(wiring, 0.5 + 0j)
+    assert all(type(c) is float for c in ws.terms.values())

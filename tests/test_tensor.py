@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qrealize.config import ResourceBudgetError
+from qrealize.config import BUDGET, ResourceBudgetError
 from qrealize.tensor import (
     DensityOperator,
     Operator,
@@ -305,3 +305,18 @@ def test_haar_first_coordinate_moment():
 def test_matvec_budget_cap():
     with pytest.raises(ResourceBudgetError):
         lanczos_min_eig(lambda v: v, 10 ** 9)
+
+
+def test_eigensolvers_honour_the_callers_matvec_budget():
+    small = BUDGET.with_(matvec_dim=8)
+    with pytest.raises(ResourceBudgetError):
+        lanczos_min_eig(lambda v: v, 16, budget=small)
+    with pytest.raises(ResourceBudgetError):
+        min_eigenvalue_matrix_free(lambda v: v, 16, shift=2.0, budget=small)
+    # one past the default cap; the identity closes its Krylov space at once
+    dim = BUDGET.matvec_dim + 1
+    large = BUDGET.with_(matvec_dim=dim)
+    lam, _ = lanczos_min_eig(lambda v: v, dim, block=4, cycles=1, budget=large)
+    assert lam == pytest.approx(1.0)
+    lam, _ = min_eigenvalue_matrix_free(lambda v: v, dim, shift=2.0, budget=large)
+    assert lam == pytest.approx(1.0)
