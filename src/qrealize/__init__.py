@@ -22,7 +22,8 @@ from .estimation import (DensityCurve, ToyXZBounds, TypeDistribution,
                          born_ratio, compositions, density_curve,
                          density_degenerate, density_nondegenerate,
                          density_qubit_pair, multinomial_type_dist,
-                         spectral_dist, toy_xz_exact_bounds, toy_xz_simulate)
+                         spectral_dist, toy_xz_exact_bounds,
+                         toy_xz_exact_fractions, toy_xz_simulate)
 from .jsonio import (dumps, format_float, loads, operator_from_json,
                      operator_to_json, read_json, state_from_json,
                      state_to_json, write_json)
@@ -48,10 +49,9 @@ from .symmetrizer import (SlotLayout, SymmetrizerHandle, WiringOperator,
 from .tensor import (DensityOperator, LabeledSpace, Operator, PureState,
                      apply_slot_permutation, gershgorin_upper_bound,
                      haar_random_density, haar_random_pure,
-                     haar_random_pure_on, identity, kron, kron_all,
-                     min_eigenvalue, min_eigenvalue_matrix_free,
-                     min_eigenvalue_vector, partial_trace,
-                     permutation_operator, power_space, qubits, space,
-                     trace_with_permutation)
+                     haar_random_pure_on, identity, kron, min_eigenvalue,
+                     min_eigenvalue_matrix_free, min_eigenvalue_vector,
+                     partial_trace, permutation_operator, power_space,
+                     qubits, space, trace_with_permutation)
 
 __version__ = "0.1.0"

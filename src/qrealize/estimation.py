@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -305,30 +306,45 @@ def toy_xz_simulate(m: int, trials: int, seed: int = 0) -> np.ndarray:
     return np.column_stack([2 * kx / m - 1, 2 * kz / m - 1])
 
 
-def _adaptive_simpson(f, a: float, b: float, tol: float = 1e-10) -> float:
-    fa, fm, fb = f(a), f((a + b) / 2), f(b)
-    whole = (b - a) / 6 * (fa + 4 * fm + fb)
-
-    def rec(a, b, fa, fm, fb, whole, tol, depth):
-        mid = (a + b) / 2
-        lm, rm = (a + mid) / 2, (mid + b) / 2
-        flm, frm = f(lm), f(rm)
-        left = (mid - a) / 6 * (fa + 4 * flm + fm)
-        right = (b - mid) / 6 * (fm + 4 * frm + fb)
-        err = left + right - whole
-        if depth <= 0 or abs(err) <= 15 * tol:
-            return left + right + err / 15
-        return (rec(a, mid, fa, flm, fm, left, tol / 2, depth - 1)
-                + rec(mid, b, fm, frm, fb, right, tol / 2, depth - 1))
-
-    return rec(a, b, fa, fm, fb, whole, tol, 48)
-
-
 class ToyXZBounds(NamedTuple):
     corner_prob: float
     corner_bound: float
     balanced_prob: float
     balanced_bound: float
+
+
+def _sphere_average(c: Sequence[int]) -> Fraction:
+    """E[f(x) f(z)] for a uniform point on the unit sphere, where
+    f(t) = sum_a c[a] t^(2a), summed exactly from the moments
+    E[x^(2a) z^(2b)] = (2a-1)!! (2b-1)!! / (2a+2b+1)!!.
+
+    The sum runs in integers: with alternating c it cancels to far below
+    its largest term, which float arithmetic would not survive."""
+    k = len(c)
+    odd = [1]                       # odd[j] = (2j-1)!!
+    for j in range(1, 2 * k):
+        odd.append(odd[-1] * (2 * j - 1))
+    den = odd[-1]                   # (2(a+b)+1)!! divides it for all a, b < k
+    num = sum(c[a] * c[b] * odd[a] * odd[b] * (den // odd[a + b + 1])
+              for a in range(k) for b in range(k))
+    return Fraction(num, den)
+
+
+def toy_xz_exact_fractions(m: int) -> tuple[Fraction, Fraction]:
+    """Exact (corner, balanced) probabilities of the X/Z scheme as rationals.
+
+    Both integrands are polynomials in x and z, so each average is a finite
+    sum of sphere moments; balanced is 0 for odd m.
+    """
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    # E[(1+z)^m (1+x)^m] keeps only the even powers of x and z
+    corner = _sphere_average([math.comb(m, 2 * a) for a in range(m // 2 + 1)]) / 4 ** m
+    if m % 2:
+        return corner, Fraction(0)
+    half = m // 2
+    inner = _sphere_average([(-1) ** a * math.comb(half, a) for a in range(half + 1)])
+    return corner, math.comb(m, half) ** 2 * inner / 16 ** half
 
 
 def toy_xz_exact_bounds(m: int) -> ToyXZBounds:
@@ -339,40 +355,18 @@ def toy_xz_exact_bounds(m: int) -> ToyXZBounds:
     m, balanced_prob is the Haar average of the doubly-balanced record
     probability C(m,m/2)^2 ((1-z^2)/4)^{m/2} ((1-x^2)/4)^{m/2} with the
     polynomial floor 1/(2m); odd m returns 0 for both balanced entries.
+    Both probabilities are the rationals of ``toy_xz_exact_fractions``
+    rounded once to float.
     """
-    if m < 1:
-        raise ValueError("m must be >= 1")
-
-    def azimuth_avg(g) -> float:
-        return _adaptive_simpson(g, 0.0, math.pi, tol=1e-12) / math.pi
-
-    def corner_profile(z: float) -> float:
-        r = math.sqrt(max(1.0 - z * z, 0.0))
-        inner = azimuth_avg(lambda phi: ((1 + r * math.cos(phi)) / 2) ** m)
-        return ((1 + z) / 2) ** m * inner
-
-    corner = 0.5 * _adaptive_simpson(corner_profile, -1.0, 1.0, tol=1e-10)
-    corner_bound = ((3 + 2 * math.sqrt(2)) / 8) ** m
-
-    if m % 2:
-        return ToyXZBounds(corner, corner_bound, 0.0, 0.0)
-
-    half = m // 2
-    coeff = math.comb(m, half) ** 2
-
-    def balanced_profile(z: float) -> float:
-        one_mz = max(1.0 - z * z, 0.0)
-        inner = azimuth_avg(
-            lambda phi: ((1 - one_mz * math.cos(phi) ** 2) / 4) ** half)
-        return (one_mz / 4) ** half * inner
-
-    balanced = coeff * 0.5 * _adaptive_simpson(balanced_profile, -1.0, 1.0, tol=1e-10)
-    return ToyXZBounds(corner, corner_bound, balanced, 1.0 / (2 * m))
+    corner, balanced = toy_xz_exact_fractions(m)
+    return ToyXZBounds(float(corner), ((3 + 2 * math.sqrt(2)) / 8) ** m,
+                       float(balanced), 0.0 if m % 2 else 1.0 / (2 * m))
 
 
 __all__ = [
     "DensityCurve", "ToyXZBounds", "TypeDistribution", "born_ratio",
     "compositions", "density_curve", "density_degenerate",
     "density_nondegenerate", "density_qubit_pair", "multinomial_type_dist",
-    "spectral_dist", "toy_xz_exact_bounds", "toy_xz_simulate",
+    "spectral_dist", "toy_xz_exact_bounds", "toy_xz_exact_fractions",
+    "toy_xz_simulate",
 ]

@@ -23,10 +23,11 @@ from typing import Sequence
 import numpy as np
 
 from .config import BUDGET, TOL, Budgets, ResourceBudgetError, Tolerances
+from .divergence import kl_divergence
 from .partitions import littlewood_richardson, partitions_of, \
     schur_polynomial, specht_dim, weyl_dim
-from .symmetrizer import WiringSum, isotypic_band_weight, scenario_layout, \
-    sym_projector, traced_permutation_sum
+from .symmetrizer import WiringSum, check_perms_budget, isotypic_band_weight, \
+    scenario_layout, sym_projector, traced_permutation_sum
 from .tensor import DensityOperator, LabeledSpace, Operator, PureState, \
     lanczos_min_eig, min_eigenvalue_matrix_free, partial_trace, power_space
 
@@ -206,18 +207,19 @@ def _min_gap(ws: WiringSum, rho_m: np.ndarray, n: int, *, method: str = "auto",
 
 
 @lru_cache(maxsize=64)
-def _traced_symmetrizer_cached(labels: tuple, contexts: tuple, n: int,
-                               budget: Budgets) -> WiringSum:
+def _wiring_sum(labels: tuple, contexts: tuple, n: int, v: int) -> WiringSum:
+    """Traced sum of the isotypic projectors on n*m slots over shapes with at
+    most v rows (v = 1 is the traced symmetrizer), built and compiled once.
+    It does not depend on the budget, so the cache key leaves the budget out
+    and ``_scenario_sum`` checks the caller's permutation cap on every call."""
     layout = scenario_layout(labels, contexts, n)
-    nm = layout.nslots
-    return traced_permutation_sum(layout, lambda t: 1.0 / math.factorial(nm), budget)
+    uncapped = BUDGET.with_(perms_matrix_free=math.factorial(layout.nslots))
+    return traced_permutation_sum(layout, isotypic_band_weight(layout.nslots, v), uncapped)
 
 
-@lru_cache(maxsize=64)
-def _traced_band_cached(labels: tuple, contexts: tuple, n: int, v: int,
-                        budget: Budgets) -> WiringSum:
-    layout = scenario_layout(labels, contexts, n)
-    return traced_permutation_sum(layout, isotypic_band_weight(layout.nslots, v), budget)
+def _scenario_sum(scen: MarginalScenario, n: int, budget: Budgets, v: int = 1) -> WiringSum:
+    check_perms_budget(n * scen.m, budget)
+    return _wiring_sum(scen.joint.labels, scen.contexts, n, v)
 
 
 def _certificate(gap: float, wvec: np.ndarray, n: int, scen: MarginalScenario,
@@ -249,7 +251,7 @@ def hierarchy_check(state: MProductState, n: int, *, tol: Tolerances = TOL,
     rules nothing out at this level.
     """
     scen = state.scenario
-    ws = _traced_symmetrizer_cached(scen.joint.labels, scen.contexts, n, budget)
+    ws = _scenario_sum(scen, n, budget)
     gap, wvec = _min_gap(ws, state.product_matrix(), n, method=method, budget=budget)
     return _certificate(gap, wvec, n, scen, tol)
 
@@ -266,7 +268,7 @@ def ortho_bound_check(state: MProductState, v: int, n: int, *, tol: Tolerances =
     scen = state.scenario
     if not (1 <= v <= scen.d_joint):
         raise ValueError(f"orthogonal-solution count v={v} must be in 1..{scen.d_joint}")
-    ws = _traced_band_cached(scen.joint.labels, scen.contexts, n, v, budget)
+    ws = _scenario_sum(scen, n, budget, v)
     gap, wvec = _min_gap(ws, state.product_matrix(), n, method=method, budget=budget,
                          lhs_scale=float(v) ** (n * scen.m))
     return _certificate(gap, wvec, n, scen, tol)
@@ -356,16 +358,6 @@ def three_qubit_witness(rho_ab, rho_ac, rho_bc) -> float:
 # Bipartite scenario: exact spectral solution
 
 
-def _kl(p: np.ndarray, q: np.ndarray) -> float:
-    tot = 0.0
-    for pi, qi in zip(p, q):
-        if pi > 0.0:
-            if qi <= 0.0:
-                return math.inf
-            tot += pi * (math.log(pi) - math.log(qi))
-    return tot
-
-
 @dataclass(frozen=True)
 class BipartiteResult:
     realizable: bool
@@ -408,7 +400,7 @@ def bipartite_check(rho_a: DensityOperator, rho_b: DensityOperator,
                                tuple(map(float, sa)), tuple(map(float, sb)),
                                tuple((pa + pb) / 2.0))
     r = (pa + pb) / 2.0
-    rate = _kl(pa, r) + _kl(pb, r)
+    rate = kl_divergence(pa, r) + kl_divergence(pb, r)
     realizable = bool(np.max(np.abs(pa - pb)) <= tol)
     assert rate + 1e-12 >= pinsker - 1e-9, "divergence fell below its norm bound"
     return BipartiteResult(realizable, float(rate), pinsker,

@@ -408,14 +408,20 @@ class WiringSum:
         return Operator(self.layout.space(), self.to_matrix(budget))
 
 
+def check_perms_budget(nslots: int, budget: Budgets = BUDGET) -> None:
+    """Raise ResourceBudgetError when a sum over all nslots! slot
+    permutations exceeds the budget's matrix-free cap."""
+    if math.factorial(nslots) > budget.perms_matrix_free:
+        raise ResourceBudgetError(
+            f"{nslots}! permutation terms exceed cap {budget.perms_matrix_free}")
+
+
 def traced_permutation_sum(layout: SlotLayout,
                            weight_of_type: Callable[[Partition], float],
                            budget: Budgets = BUDGET) -> WiringSum:
     """Sum over all slot permutations of weight(cycle type) x traced wiring."""
     n = layout.nslots
-    if math.factorial(n) > budget.perms_matrix_free:
-        raise ResourceBudgetError(
-            f"{n}! permutation terms exceed cap {budget.perms_matrix_free}")
+    check_perms_budget(n, budget)
     weights: dict[tuple[int, ...], float] = {}
     for t in all_cycle_types(n):
         weights[t.parts] = weight_of_type(t)

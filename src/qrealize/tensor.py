@@ -232,13 +232,6 @@ def kron(a: Operator, b: Operator) -> Operator:
     return Operator(a.space.concat(b.space), np.kron(a.mat, b.mat))
 
 
-def kron_all(ops: Sequence[Operator]) -> Operator:
-    out = ops[0]
-    for op in ops[1:]:
-        out = kron(out, op)
-    return out
-
-
 def partial_trace(x: Operator, drop: Iterable[int]) -> Operator:
     """Trace out the factors at the given slot indices.
 
@@ -279,7 +272,8 @@ def _check_permutation(perm: Sequence[int]) -> tuple[int, ...]:
     return perm
 
 
-def permutation_operator(sp: LabeledSpace, perm: Sequence[int]) -> Operator:
+def permutation_operator(sp: LabeledSpace, perm: Sequence[int],
+                         budget: Budgets = BUDGET) -> Operator:
     """The unitary permuting the k copies of ``sp``: slot s moves to slot perm[s].
 
     With that convention T(p) T(q) = T(p o q) where (p o q)(s) = p(q(s)).
@@ -289,12 +283,12 @@ def permutation_operator(sp: LabeledSpace, perm: Sequence[int]) -> Operator:
     k = len(perm)
     d = sp.total_dim
     big = power_space(sp, k)
-    if d ** k > BUDGET.dense_dim:
+    if d ** k > budget.dense_dim:
         raise ResourceBudgetError(f"permutation operator dimension {d ** k} exceeds cap")
     eye = np.eye(d ** k).reshape((d,) * (2 * k))
     axes = _perm_inverse(perm) + list(range(k, 2 * k))
     mat = eye.transpose(axes).reshape(d ** k, d ** k)
-    return Operator(big, mat)
+    return Operator(big, mat, budget=budget)
 
 
 def apply_slot_permutation(vec: np.ndarray, dims: Sequence[int], perm: Sequence[int]) -> np.ndarray:

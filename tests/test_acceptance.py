@@ -46,6 +46,7 @@ from qrealize import (
     three_qubit_witness,
     torus_rep,
     toy_xz_exact_bounds,
+    toy_xz_exact_fractions,
     traced_symmetrizer,
 )
 from qrealize.estimation import density_curve
@@ -375,7 +376,8 @@ def test_c13_toy_xz_corner_and_balanced_bounds():
     for m in range(2, 21, 2):
         res = results[m]
         assert res.balanced_prob >= 1 / (2 * m), (
-            f"balanced estimate probability at m={m} is {res.balanced_prob:.6g}, "
+            f"balanced estimate probability at m={m} is {res.balanced_prob:.6g} "
+            f"(exactly {toy_xz_exact_fractions(m)[1]}), "
             f"below the required floor {1 / (2 * m):.6g}")
     assert time.time() - start < 60.0
 

@@ -1,5 +1,6 @@
 """Type distributions, spectrum estimation, expectation densities, toy scheme."""
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from qrealize.estimation import (
     multinomial_type_dist,
     spectral_dist,
     toy_xz_exact_bounds,
+    toy_xz_exact_fractions,
     toy_xz_simulate,
 )
 from qrealize.divergence import multinomial_mass
@@ -265,6 +267,38 @@ def test_toy_xz_exact_bounds_m2_closed_forms():
     assert res.corner_prob == pytest.approx(13.0 / 120.0, abs=1e-9)
     assert res.balanced_prob == pytest.approx(0.1, abs=1e-9)
     assert res.balanced_bound == pytest.approx(0.25)
+
+
+def _toy_xz_by_quadrature(m):
+    """Corner and balanced averages by Gauss-Legendre in z (m+1 nodes) times
+    an equally spaced azimuth grid (2m+1 points): exact for these integrands,
+    which are polynomials of degree 2m in z and of degree m in cos(phi)."""
+    z, w = np.polynomial.legendre.leggauss(m + 1)
+    phi = 2 * np.pi * np.arange(2 * m + 1) / (2 * m + 1)
+    x = np.sqrt(1 - z * z)[:, None] * np.cos(phi)[None, :]
+    zz = z[:, None]
+    corner = (((1 + zz) / 2) ** m * ((1 + x) / 2) ** m).mean(axis=1) @ w / 2
+    if m % 2:
+        return corner, 0.0
+    h = m // 2
+    balanced = (((1 - zz * zz) / 4) ** h * ((1 - x * x) / 4) ** h).mean(axis=1) @ w / 2
+    return corner, math.comb(m, h) ** 2 * balanced
+
+
+def test_toy_xz_exact_bounds_match_exact_quadrature():
+    for m in range(1, 31):
+        res = toy_xz_exact_bounds(m)
+        corner, balanced = _toy_xz_by_quadrature(m)
+        assert res.corner_prob == pytest.approx(corner, rel=1e-12, abs=0.0), m
+        assert res.balanced_prob == pytest.approx(balanced, rel=1e-12, abs=0.0), m
+
+
+def test_toy_xz_exact_fractions_are_the_reported_values():
+    assert toy_xz_exact_fractions(2) == (Fraction(13, 120), Fraction(1, 10))
+    corner, balanced = toy_xz_exact_fractions(20)
+    res = toy_xz_exact_bounds(20)
+    assert (res.corner_prob, res.balanced_prob) == (float(corner), float(balanced))
+    assert f"{res.balanced_prob:.5g}" == "0.0015161"
 
 
 def test_toy_xz_corner_bound_holds():

@@ -21,6 +21,7 @@ from qrealize.qmp import (
     three_qubit_witness,
 )
 from qrealize.qmp import _apply_product_power, _kron_power
+from qrealize.symmetrizer import traced_symmetrizer
 from qrealize.tensor import (
     DensityOperator,
     Operator,
@@ -149,6 +150,34 @@ def test_hierarchy_check_passes_its_budget_to_the_eigensolver():
         hierarchy_check(st, 2, budget=BUDGET.with_(matvec_dim=1000))
     cert = hierarchy_check(st, 2, budget=BUDGET.with_(matvec_dim=4096))
     assert cert.verdict == VERDICT_VIOLATED
+
+
+def test_wiring_sum_cache_ignores_unrelated_budget_fields():
+    a = qmp_mod._scenario_sum(TRIPLE, 2, BUDGET.with_(matvec_dim=1000))
+    assert a is qmp_mod._scenario_sum(TRIPLE, 2, BUDGET.with_(matvec_dim=4096))
+    band = qmp_mod._scenario_sum(TRIPLE, 2, BUDGET.with_(matvec_dim=1000), 2)
+    assert band is qmp_mod._scenario_sum(TRIPLE, 2, BUDGET, 2)
+    assert band is not a
+
+
+def test_cached_symmetrizer_is_the_rank_one_band():
+    for contexts, n in (("AB", "AC", "BC"), 2), (("AB", "BC"), 2):
+        scen = scenario((("A", 2), ("B", 2), ("C", 2)), contexts)
+        want = traced_symmetrizer(scen.joint.labels, scen.contexts, n)
+        assert qmp_mod._scenario_sum(scen, n, BUDGET).terms == want.terms
+
+
+def test_tighter_permutation_cap_raises_after_a_cache_hit():
+    st = triple_product(SINGLET_RHO)
+    hierarchy_check(st, 2)                     # 6 slots: the cached sum exists
+    ortho_bound_check(st, 2, 2)
+    tight = BUDGET.with_(perms_matrix_free=719)
+    with pytest.raises(ResourceBudgetError):
+        hierarchy_check(st, 2, budget=tight)
+    with pytest.raises(ResourceBudgetError):
+        ortho_bound_check(st, 2, 2, budget=tight)
+    assert hierarchy_check(st, 2, budget=BUDGET.with_(perms_matrix_free=720)).verdict \
+        == VERDICT_VIOLATED
 
 
 def test_certificate_json_round_shape():

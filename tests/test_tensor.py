@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qrealize import tensor as tensor_mod
 from qrealize.config import BUDGET, ResourceBudgetError
 from qrealize.tensor import (
     DensityOperator,
@@ -164,6 +165,16 @@ def test_permutation_operator_three_cycle_convention():
     # slot 0 now holds what was in slot 2, slot 1 holds old slot 0, ...
     want = np.kron(np.kron(vecs[2], vecs[0]), vecs[1])
     assert np.allclose(out, want)
+
+
+def test_permutation_operator_checks_the_callers_dense_dim(monkeypatch):
+    sp = space(("Q", 2))
+    with pytest.raises(ResourceBudgetError):
+        permutation_operator(sp, (1, 2, 0), budget=BUDGET.with_(dense_dim=7))
+    # a caller's budget above the module default is honoured
+    monkeypatch.setattr(tensor_mod, "BUDGET", BUDGET.with_(dense_dim=4))
+    t = permutation_operator(sp, (1, 2, 0), budget=BUDGET.with_(dense_dim=8))
+    assert t.dim == 8
 
 
 @given(st.permutations(list(range(4))))
