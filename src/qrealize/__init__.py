@@ -47,11 +47,11 @@ from .symmetrizer import (SlotLayout, SymmetrizerHandle, WiringOperator,
                           traced_permutation, traced_permutation_sum,
                           traced_symmetrizer, uniform_sym_state)
 from .tensor import (DensityOperator, LabeledSpace, Operator, PureState,
-                     apply_slot_permutation, gershgorin_upper_bound,
-                     haar_random_density, haar_random_pure,
-                     haar_random_pure_on, identity, kron, min_eigenvalue,
-                     min_eigenvalue_matrix_free, min_eigenvalue_vector,
-                     partial_trace, permutation_operator, power_space,
-                     qubits, space, trace_with_permutation)
+                     apply_slot_permutation, haar_random_density,
+                     haar_random_pure, haar_random_pure_on, identity, kron,
+                     min_eigenvalue, min_eigenvalue_matrix_free,
+                     min_eigenvalue_vector, partial_trace,
+                     permutation_operator, power_space, qubits, space,
+                     trace_with_permutation)
 
 __version__ = "0.1.0"

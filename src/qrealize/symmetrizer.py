@@ -9,9 +9,10 @@ Three layers live here:
   of (slot, label) wires without materializing the big space — each traced
   permutation collapses to (product of loop dimension factors) x (a
   permutation of the kept wires).  A ``WiringSum`` merges such terms with
-  real coefficients and compiles them once into real CSR arrays, so each
-  matvec is a single gather over the merged nonzeros and the dense form is a
-  single scatter;
+  real coefficients.  Each term keeps the level histogram of every orbit of
+  the kept axes, so the sum is block diagonal over those sectors; it is
+  compiled once into stacked dense real blocks, one array per block size, so
+  each matvec is one gather, a few batched real matmuls and one scatter;
 
 * the biriffle evaluation of Tr(symmetric-average (X_1 x ... x X_k)) as a sum
   over double cosets of S_n^k in S_{nk}, with a full-permutation-sum oracle.
@@ -141,12 +142,22 @@ def set_cycles(perm: Sequence[int]) -> list[list[int]]:
     return cycles
 
 
+def _dense_sym_projector(d: int, k: int, budget: Budgets = BUDGET) -> SymmetrizerHandle:
+    """The symmetric-subspace projector with its dense matrix, or
+    ResourceBudgetError when the budget only allows the apply-only form."""
+    handle = sym_projector(d, k, budget)
+    if handle.dense is None:
+        raise ResourceBudgetError(
+            f"no dense symmetric projector on {k} slots of C^{d} within the budget "
+            f"(dimension {d ** k}, cap {budget.dense_eig_dim}; "
+            f"{k}! permutations, cap {budget.perms_dense})")
+    return handle
+
+
 def uniform_sym_state(d: int, k: int, budget: Budgets = BUDGET) -> DensityOperator:
     """The maximally mixed state on the symmetric subspace,
     projector / binom(k+d-1, k)."""
-    handle = sym_projector(d, k, budget)
-    if handle.dense is None:
-        raise ResourceBudgetError("uniform symmetric state requires the dense path")
+    handle = _dense_sym_projector(d, k, budget)
     return DensityOperator(handle.dense * (1.0 / handle.trace()))
 
 
@@ -297,111 +308,146 @@ def traced_permutation(layout: SlotLayout, perm: Sequence[int]) -> WiringOperato
     return WiringOperator(scalar, sigma, layout.axis_dims)
 
 
-_COMPILE_ROWS = 64          # rows per block while compiling the CSR arrays
-_GATHER_ENTRIES = 1 << 15   # nonzeros gathered per chunk in ``WiringSum.apply``
+_COMPILE_ROWS = 64          # rows per chunk while filling the sector blocks
+
+
+def _axis_orbits(nax: int, perms) -> list[list[int]]:
+    """Orbits of the axes 0..nax-1 under the group generated by ``perms``."""
+    root = list(range(nax))
+
+    def find(a: int) -> int:
+        while root[a] != a:
+            root[a] = root[root[a]]
+            a = root[a]
+        return a
+
+    for perm in perms:
+        for a, b in enumerate(perm):
+            root[find(a)] = find(b)
+    orbits: dict[int, list[int]] = {}
+    for a in range(nax):
+        orbits.setdefault(find(a), []).append(a)
+    return list(orbits.values())
 
 
 class WiringSum:
     """A real-linear combination of wiring operators on a common layout.
 
     ``terms`` maps each kept-wire axis permutation to its real coefficient;
-    ``add`` merges repeats.  The sum of axis permutations is a sparse real
-    matrix with at most ``len(terms)`` entries per row.  On the first
-    ``apply`` or ``to_matrix`` the terms are compiled once into CSR arrays
-    (``vals`` float64, ``cols`` int32, ``indptr`` int64; entries whose
-    coefficients cancel stay as explicit zeros, so every row of a non-empty
-    sum has at least one entry).  A matvec is then one gather-multiply-reduce
-    over those arrays.  ``add`` drops the compiled arrays; mutate the sum
-    through ``add`` only.
+    ``add`` merges repeats.  Every term permutes the axes inside each orbit
+    of the axes under all the terms, so it keeps the level histogram of each
+    orbit (how many of its axes sit at each level).  A sector is one choice
+    of those histograms, and the sum is exactly block diagonal over sectors.
+    On the first ``apply`` or ``to_matrix`` the terms are compiled once into
+    that block form: a permutation ``order`` of the kept-space indices that
+    groups them by block size, then by sector, and one stacked
+    ``(count, k, k)`` float64 array per block size k.  A matvec is then one
+    gather, one real matmul per block size and one scatter.  ``add`` drops
+    the compiled form; mutate the sum through ``add`` only.
     """
 
     def __init__(self, layout: SlotLayout):
         self.layout = layout
         self.terms: dict[tuple[int, ...], float] = {}
-        self._csr: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+        self._blocks: tuple[np.ndarray, list[np.ndarray]] | None = None
 
     def add(self, wiring: WiringOperator, coeff: float = 1.0) -> None:
-        if wiring.dims != self.layout.axis_dims:
+        dims = self.layout.axis_dims
+        if wiring.dims != dims:
             raise ValueError("wiring axis dimensions do not match the layout")
+        if any(dims[b] != dims[a] for a, b in enumerate(wiring.perm)):
+            raise ValueError("wiring permutes axes of different dimensions")
         c = complex(coeff)
         if c.imag != 0:
             raise ValueError(f"wiring coefficients must be real, got {coeff!r}")
         key = wiring.perm
         self.terms[key] = self.terms.get(key, 0.0) + c.real * wiring.scalar
-        self._csr = None
+        self._blocks = None
 
-    def _compiled(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        if self._csr is None:
-            self._csr = self._compile()
-        return self._csr
+    def _compiled(self) -> tuple[np.ndarray, list[np.ndarray]]:
+        if self._blocks is None:
+            self._blocks = self._compile()
+        return self._blocks
 
-    def _compile(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(vals, cols, indptr) of the merged sum, built in two passes over
-        row blocks (count, then fill) so transients stay block-sized.
+    def _compile(self) -> tuple[np.ndarray, list[np.ndarray]]:
+        """(order, blocks) of the merged sum.
 
-        Row r of the permutation with content-of-axis-a -> axis perm[a] reads
-        source index sum_a strides[inv(perm)[a]] * r_a.
+        An index's sector is named by its multi-index with the levels inside
+        each orbit sorted.  Row r of the permutation with content-of-axis-a
+        -> axis perm[a] reads source index sum_a strides[inv(perm)[a]] * r_a;
+        that entry lands in the block of r's sector, at the positions of r
+        and of the source inside the sector.  Each block size is filled by
+        ``np.bincount`` over row chunks, so transients stay chunk-sized.
         """
         dims = self.layout.axis_dims
         big = self.layout.out_dim
-        indptr = np.zeros(big + 1, dtype=np.int64)
-        if not self.terms:
-            return np.zeros(0), np.zeros(0, dtype=np.int32), indptr
         strides = np.array([math.prod(dims[a + 1:]) for a in range(len(dims))],
                            dtype=np.int64)
-        coeffs = np.fromiter(self.terms.values(), dtype=np.float64)
-        q = np.array([strides[np.argsort(p)] for p in self.terms], dtype=np.int64)
-        radix = np.array(dims, dtype=np.int64)[:, None]
+        radix = np.array(dims, dtype=np.int64)
 
-        def block_sources(lo: int, hi: int) -> np.ndarray:
-            multi = np.arange(lo, hi) // strides[:, None] % radix  # (axes, rows)
-            return (q @ multi).T                                 # (rows, terms)
+        def levels(idx: np.ndarray, axes) -> np.ndarray:  # (axes, indices)
+            return idx // strides[axes, None] % radix[axes, None]
 
-        for lo in range(0, big, _COMPILE_ROWS):
-            hi = min(lo + _COMPILE_ROWS, big)
-            s = np.sort(block_sources(lo, hi), axis=1)
-            indptr[lo + 1:hi + 1] = 1 + np.count_nonzero(np.diff(s, axis=1), axis=1)
-        np.cumsum(indptr, out=indptr)
-        vals = np.empty(indptr[-1], dtype=np.float64)
-        cols = np.empty(indptr[-1], dtype=np.int32)
-        for lo in range(0, big, _COMPILE_ROWS):
-            hi = min(lo + _COMPILE_ROWS, big)
-            src = block_sources(lo, hi)
-            order = np.argsort(src, axis=1, kind="stable")
-            s = np.take_along_axis(src, order, axis=1)
-            first = np.ones(s.shape, dtype=bool)
-            first[:, 1:] = s[:, 1:] != s[:, :-1]
-            starts = np.flatnonzero(first)
-            a, b = indptr[lo], indptr[hi]
-            cols[a:b] = s.ravel()[starts]
-            vals[a:b] = np.add.reduceat(coeffs[order].ravel(), starts)
-        return vals, cols, indptr
+        index = np.arange(big)
+        key = np.zeros(big, dtype=np.int64)
+        for orbit in _axis_orbits(len(dims), self.terms):
+            key += strides[orbit] @ np.sort(levels(index, orbit), axis=0)
+        _, sector, size = np.unique(key, return_inverse=True, return_counts=True)
+        size = size[sector]
+        order = np.lexsort((key, size))
+        first = np.ones(big, dtype=bool)
+        first[1:] = key[order[1:]] != key[order[:-1]]
+        pos = np.empty(big, dtype=np.int64)
+        pos[order] = index - np.maximum.accumulate(np.where(first, index, 0))
+
+        coeffs = np.fromiter(self.terms.values(), dtype=np.float64, count=len(self.terms))
+        q = np.array([strides[np.argsort(p)] for p in self.terms],
+                     dtype=np.int64).reshape(len(self.terms), len(dims))
+        sizes, lows = np.unique(size[order], return_index=True)
+        blocks = []
+        for k, lo, hi in zip(sizes, lows, np.append(lows[1:], big)):
+            flat = np.empty((hi - lo) * k)
+            for r0 in range(lo, hi, _COMPILE_ROWS):
+                r1 = min(r0 + _COMPILE_ROWS, hi)
+                src = (q @ levels(order[r0:r1], slice(None))).T    # (rows, terms)
+                cell = np.arange(r1 - r0)[:, None] * k + pos[src]
+                flat[(r0 - lo) * k:(r1 - lo) * k] = np.bincount(
+                    cell.ravel(), np.broadcast_to(coeffs, src.shape).ravel(),
+                    minlength=(r1 - r0) * k)
+            blocks.append(flat.reshape(-1, k, k))
+        return order, blocks
 
     def apply(self, vec: np.ndarray) -> np.ndarray:
-        vals, cols, indptr = self._compiled()
+        order, blocks = self._compiled()
         big = self.layout.out_dim
         v = np.asarray(vec, dtype=np.complex128).reshape(-1)
         if v.shape[0] != big:
             raise ValueError(f"vector length {v.shape[0]} != layout dimension {big}")
-        out = np.zeros(big, dtype=np.complex128)
-        if not len(vals):
-            return out
-        step = max(1, _GATHER_ENTRIES * big // len(vals))
-        for r0 in range(0, big, step):
-            r1 = min(r0 + step, big)
-            lo, hi = indptr[r0], indptr[r1]
-            g = v[cols[lo:hi]]
-            g *= vals[lo:hi]
-            out[r0:r1] = np.add.reduceat(g, indptr[r0:r1] - lo)
+        # real blocks act on the (re, im) pairs of the gathered vector
+        g = v[order].view(np.float64).reshape(big, 2)
+        h = np.empty_like(g)
+        lo = 0
+        for b in blocks:
+            count, k, _ = b.shape
+            hi = lo + count * k
+            np.matmul(b, g[lo:hi].reshape(count, k, 2), out=h[lo:hi].reshape(count, k, 2))
+            lo = hi
+        out = np.empty(big, dtype=np.complex128)
+        out[order] = h.view(np.complex128).reshape(-1)
         return out
 
     def to_matrix(self, budget: Budgets = BUDGET) -> np.ndarray:
         big = self.layout.out_dim
         if big > budget.dense_dim:
             raise ResourceBudgetError(f"dense wiring sum dimension {big} exceeds cap")
-        vals, cols, indptr = self._compiled()
+        order, blocks = self._compiled()
         out = np.zeros((big, big), dtype=np.complex128)
-        out[np.repeat(np.arange(big), np.diff(indptr)), cols] = vals
+        lo = 0
+        for b in blocks:
+            count, k, _ = b.shape
+            idx = order[lo:lo + count * k].reshape(count, k)
+            out[idx[:, :, None], idx[:, None, :]] = b
+            lo += count * k
         return out
 
     def to_operator(self, budget: Budgets = BUDGET) -> Operator:
@@ -486,7 +532,7 @@ def _check_biriffle_inputs(xs, d: int) -> tuple[list[np.ndarray], int]:
 def symmetrize_operator(x, d: int, budget: Budgets = BUDGET) -> np.ndarray:
     """Compress x to the symmetric subspace: projector @ x @ projector."""
     mats, n = _check_biriffle_inputs([x], d)
-    p = sym_projector(d, n, budget).dense.mat
+    p = _dense_sym_projector(d, n, budget).dense.mat
     return p @ mats[0] @ p
 
 
@@ -503,7 +549,7 @@ def biriffle_value(xs: Sequence, d: int, *, symmetrize: bool = False,
     mats, n = _check_biriffle_inputs(xs, d)
     k = len(mats)
     if symmetrize:
-        p = sym_projector(d, n, budget).dense.mat
+        p = _dense_sym_projector(d, n, budget).dense.mat
         mats = [p @ m @ p for m in mats]
     total = 0.0 + 0.0j
     for _, card, rep in double_cosets(n, k):

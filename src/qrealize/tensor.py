@@ -350,13 +350,6 @@ def min_eigenvalue_vector(h: Operator, tol: Tolerances = TOL) -> tuple[float, np
     return float(w[0]), v[:, 0]
 
 
-def gershgorin_upper_bound(mat: np.ndarray) -> float:
-    """An upper bound on the largest eigenvalue from Gershgorin discs."""
-    diag = np.real(np.diag(mat))
-    radii = np.sum(np.abs(mat), axis=1) - np.abs(np.diag(mat))
-    return float(np.max(diag + radii))
-
-
 def min_eigenvalue_matrix_free(
     apply_h: Callable[[np.ndarray], np.ndarray],
     dim: int,

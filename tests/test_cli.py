@@ -259,6 +259,14 @@ def test_biriffle_command_emits_bound_for_pairs(runner, tmp_path):
     assert doc["value"] > 0
 
 
+def test_biriffle_symmetrize_without_dense_projector_exits_3(runner, tmp_path):
+    # 8 qubit slots: 8! permutations exceed the dense projector's budget
+    x = _write_op(tmp_path / "x.json", [(f"Q{i}", 2) for i in range(8)], np.eye(256))
+    res = runner.invoke(main, ["biriffle", x, x, "--dim", "2", "--symmetrize"])
+    assert res.exit_code == 3
+    assert "resource budget exceeded" in res.output
+
+
 def test_capacity_command(runner, tmp_path):
     payload = {"weights": [[1], [-1]], "amplitudes": {"re": [2.0, 0.5]}}
     path = tmp_path / "rep.json"

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from qrealize.config import ResourceBudgetError
 from qrealize.partitions import Partition, double_cosets, partitions_of
 from qrealize.symmetrizer import (
     SlotLayout,
@@ -225,6 +226,16 @@ def random_sym_psd(rng, d, n):
     return symmetrize_operator(m, d)
 
 
+def test_symmetrize_without_dense_projector_raises_budget_error():
+    # 2^8 = 256 fits the dense dimension cap, but 8! exceeds perms_dense
+    assert sym_projector(2, 8).dense is None
+    x = np.eye(256)
+    with pytest.raises(ResourceBudgetError):
+        symmetrize_operator(x, 2)
+    with pytest.raises(ResourceBudgetError):
+        biriffle_value([x, x], 2, symmetrize=True)
+
+
 def test_symmetrize_operator_is_invariant():
     rng = np.random.default_rng(7)
     x = random_sym_psd(rng, 2, 2)
@@ -287,6 +298,13 @@ def test_wiring_sum_rejects_layout_mismatch():
     ws = WiringSum(l1)
     with pytest.raises(ValueError):
         ws.add(traced_permutation(l2, (0, 1)))
+
+
+def test_wiring_sum_rejects_permutations_across_dimensions():
+    layout = scenario_layout((("A", 2), ("B", 3)), (("A", "B"),), 1)
+    ws = WiringSum(layout)
+    with pytest.raises(ValueError):
+        ws.add(WiringOperator(1.0, (1, 0), layout.axis_dims))
 
 
 TRIANGLE = ((("A", 2), ("B", 2), ("C", 2)), (("A", "B"), ("A", "C"), ("B", "C")))
@@ -368,3 +386,41 @@ def test_wiring_sum_coefficients_are_real():
         ws.add(wiring, 0.5j)
     ws.add(wiring, 0.5 + 0j)
     assert all(type(c) is float for c in ws.terms.values())
+
+
+def _assert_compiled_matches_terms(ws, rng):
+    """Compiled apply and to_matrix against the term-by-term sums, at 1e-12
+    relative to the largest output entry."""
+    dim = ws.layout.out_dim
+    v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    want = _term_by_term_apply(ws, v)
+    assert np.max(np.abs(ws.apply(v) - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+    want_m = _term_by_term_matrix(ws)
+    got_m = ws.to_matrix()
+    assert np.max(np.abs(got_m - want_m)) <= 1e-12 * max(1.0, np.max(np.abs(want_m)))
+
+
+def test_compiled_blocks_follow_orbits_that_mix_labels():
+    """A term that swaps an A axis with a B axis joins them into one orbit;
+    sectors keyed per label would split its blocks and drop entries."""
+    layout = scenario_layout(*TRIANGLE, 1)
+    assert layout.axes == [(0, "A"), (0, "B"), (1, "A"), (1, "C"), (2, "B"), (2, "C")]
+    dims = layout.axis_dims
+    ws = WiringSum(layout)
+    ws.add(WiringOperator(1.0, (0, 1, 2, 3, 4, 5), dims), 0.5)
+    ws.add(WiringOperator(1.0, (2, 1, 0, 3, 4, 5), dims), -1.25)     # A#0 <-> A#1
+    ws.add(WiringOperator(2.0, (1, 0, 2, 3, 4, 5), dims), 0.75)      # A#0 <-> B#0
+    ws.add(WiringOperator(1.0, (0, 1, 2, 5, 4, 3), dims), 2.0)       # C#1 <-> C#2
+    _assert_compiled_matches_terms(ws, np.random.default_rng(41))
+
+
+@pytest.mark.parametrize("rank", [None, 2])
+def test_compiled_blocks_with_a_qutrit_label(rank):
+    """Levels 0..2 on the qutrit orbit: the sector key is a full histogram,
+    not a count of one level."""
+    layout = scenario_layout((("A", 3), ("B", 2)), (("A", "B"), ("A",)), 2)
+    nslots = layout.nslots
+    weight = (isotypic_band_weight(nslots, rank) if rank
+              else (lambda t: 1.0 / math.factorial(nslots)))
+    ws = traced_permutation_sum(layout, weight)
+    _assert_compiled_matches_terms(ws, np.random.default_rng(43))
