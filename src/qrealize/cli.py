@@ -168,12 +168,18 @@ def _emit_certificate(cert, out) -> None:
     _emit(dumps(cert.to_json(), indent=2) + "\n", out)
 
 
+_BUDGET_DIM_HELP = ("Cap on dense operator dimension. Sets dense_dim only; "
+                    "dense_eig_dim and matvec_dim keep their defaults.")
+_BUDGET_PERMS_HELP = ("Cap on the (level x contexts)! slot permutations a wiring sum "
+                      "runs over. Sets perms_matrix_free.")
+
+
 @qmp.command("check")
 @click.argument("marginals", nargs=-1, required=True, type=click.Path(exists=True, dir_okay=False))
 @click.option("--level", type=int, default=1, show_default=True, help="Hierarchy level n.")
 @click.option("--tol-psd", type=float, default=None, help="Gap threshold for VIOLATED.")
-@click.option("--budget-perms", type=int, default=None)
-@click.option("--budget-dim", type=int, default=None)
+@click.option("--budget-perms", type=int, default=None, help=_BUDGET_PERMS_HELP)
+@click.option("--budget-dim", type=int, default=None, help=_BUDGET_DIM_HELP)
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 @_guard
 def qmp_check(marginals, level, tol_psd, budget_perms, budget_dim, out):
@@ -224,8 +230,8 @@ def qmp_bipartite(rho_a, rho_b, out):
 @click.option("--level", type=int, default=1, show_default=True)
 @click.option("--rank", type=int, required=True, help="Row bound v on the admitted shapes.")
 @click.option("--tol-psd", type=float, default=None)
-@click.option("--budget-perms", type=int, default=None)
-@click.option("--budget-dim", type=int, default=None)
+@click.option("--budget-perms", type=int, default=None, help=_BUDGET_PERMS_HELP)
+@click.option("--budget-dim", type=int, default=None, help=_BUDGET_DIM_HELP)
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 @_guard
 def qmp_ortho(marginals, level, rank, tol_psd, budget_perms, budget_dim, out):
@@ -244,7 +250,7 @@ def qmp_ortho(marginals, level, rank, tol_psd, budget_perms, budget_dim, out):
               help="Operator JSON for the joint-space subspace projector.")
 @click.option("--level", type=int, default=1, show_default=True)
 @click.option("--tol-psd", type=float, default=None)
-@click.option("--budget-dim", type=int, default=None)
+@click.option("--budget-dim", type=int, default=None, help=_BUDGET_DIM_HELP)
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 @_guard
 def qmp_subspace(marginals, projector, level, tol_psd, budget_dim, out):

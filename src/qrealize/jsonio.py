@@ -53,6 +53,17 @@ def _emit(v: Any, out: list[str], indent: int | None, depth: int) -> None:
             _emit(item, out, indent, depth + 1)
         out.append(nl_close)
         out.append("}")
+    elif isinstance(v, (list, tuple)) and v and all(type(x) is float for x in v):
+        # flat float list (certificate witnesses): one join, same bytes as
+        # the per-item path below
+        if not all(map(math.isfinite, v)):
+            bad = next(x for x in v if not math.isfinite(x))
+            raise ValueError(f"cannot serialize non-finite float {bad}")
+        out.append("[")
+        out.append(nl)
+        out.append(("," + nl).join(["%.17g" % x for x in v]))
+        out.append(nl_close)
+        out.append("]")
     elif isinstance(v, (list, tuple)):
         out.append("[")
         for i, item in enumerate(v):

@@ -151,8 +151,8 @@ class RealizabilityCertificate:
             "rate_bound": self.rate_bound,
         }
         if self.witness is not None:
-            out["witness_re"] = [float(x) for x in self.witness.real]
-            out["witness_im"] = [float(x) for x in self.witness.imag]
+            out["witness_re"] = self.witness.real.tolist()
+            out["witness_im"] = self.witness.imag.tolist()
         return out
 
 
@@ -170,9 +170,11 @@ def _kron_power(mat: np.ndarray, n: int) -> np.ndarray:
 def _apply_product_power(mat: np.ndarray, n: int, vec: np.ndarray) -> np.ndarray:
     """(mat^{tensor n}) @ vec without forming the big matrix."""
     d = mat.shape[0]
-    v = np.asarray(vec, dtype=np.complex128).reshape((d,) * n)
-    for i in range(n):
-        v = np.moveaxis(np.tensordot(mat, v, axes=([1], [i])), 0, i)
+    v = np.asarray(vec, dtype=np.complex128).reshape(d, -1)
+    for _ in range(n):
+        # act on the leading copy, then rotate it to the back; after n steps
+        # every copy has been hit once and the axes are in order again
+        v = (mat @ v).T.reshape(d, -1)
     return v.reshape(-1)
 
 
@@ -197,7 +199,9 @@ def _min_gap(ws: WiringSum, rho_m: np.ndarray, n: int, *, method: str = "auto",
         return float(w[0]), v[:, 0]
 
     def matvec(v):
-        return ws.apply(v) - lhs_scale * _apply_product_power(rho_m, n, v)
+        out = ws.apply(v)
+        out -= lhs_scale * _apply_product_power(rho_m, n, v)
+        return out
 
     lam, vec = lanczos_min_eig(matvec, big, budget=budget)
     if not math.isfinite(lam):
@@ -225,7 +229,8 @@ def _scenario_sum(scen: MarginalScenario, n: int, budget: Budgets, v: int = 1) -
 def _certificate(gap: float, wvec: np.ndarray, n: int, scen: MarginalScenario,
                  tol: Tolerances) -> RealizabilityCertificate:
     violated = gap < -tol.psd
-    warning = (not violated) and gap < 0
+    # a gap within the eigensolver's accuracy of 0 is rounding, not a warning
+    warning = (not violated) and gap < -tol.eig
     d_m = scen.kept_dim
     nm = n * scen.m
     bound = None

@@ -50,6 +50,22 @@ def test_help_and_bare_invocation(runner):
     assert "qmp" in res.output
 
 
+@pytest.mark.parametrize("command", ["check", "ortho", "subspace"])
+def test_budget_dim_help_names_the_one_budget_it_sets(runner, command):
+    res = runner.invoke(main, ["qmp", command, "--help"])
+    assert res.exit_code == 0
+    text = " ".join(res.output.split())
+    assert "--budget-dim" in text and "Sets dense_dim only" in text
+    assert "dense_eig_dim and matvec_dim keep their defaults" in text
+
+
+@pytest.mark.parametrize("command", ["check", "ortho"])
+def test_budget_perms_help_names_perms_matrix_free(runner, command):
+    res = runner.invoke(main, ["qmp", command, "--help"])
+    assert res.exit_code == 0
+    assert "Sets perms_matrix_free" in " ".join(res.output.split())
+
+
 def test_show_config_lists_defaults(runner):
     res = runner.invoke(main, ["--show-config"])
     assert res.exit_code == 0

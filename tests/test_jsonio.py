@@ -57,6 +57,46 @@ def test_dumps_handles_numpy_scalars():
     assert dumps(doc) == '{"i":4,"f":0.5,"b":true}'
 
 
+def _per_item(values, indent):
+    """A flat list as the per-item emitter writes it, at top level."""
+    items = [str(x) if type(x) is int else format_float(x) for x in values]
+    if indent is None:
+        return "[" + ",".join(items) + "]"
+    pad = "\n" + " " * indent
+    return "[" + pad + ("," + pad).join(items) + "\n]"
+
+
+FIXED_FLOATS = [-0.0, 5e-324, 1.0, 1e16, 0.1]
+
+
+@pytest.mark.parametrize("indent", [None, 2])
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1))
+def test_flat_float_list_bytes_match_per_item_format(indent, values):
+    for vals in (values, FIXED_FLOATS, values + FIXED_FLOATS):
+        assert dumps(vals, indent) == _per_item(vals, indent)
+        assert dumps(tuple(vals), indent) == _per_item(vals, indent)
+
+
+def test_flat_float_list_rejects_non_finite():
+    with pytest.raises(ValueError, match="cannot serialize non-finite float inf"):
+        dumps({"x": [1.0, math.inf]})
+    with pytest.raises(ValueError, match="non-finite float nan"):
+        dumps([math.nan])
+
+
+@pytest.mark.parametrize("indent", [None, 2])
+def test_mixed_and_numpy_float_lists_give_the_same_bytes(indent):
+    """Lists that are not all plain floats take the per-item path."""
+    mixed = [0.5, -0.0, 1, 5e-324, 1e16, 0.1]
+    assert dumps(mixed, indent) == _per_item(mixed, indent)
+    assert dumps([np.float64(x) for x in FIXED_FLOATS], indent) \
+        == _per_item(FIXED_FLOATS, indent) == dumps(FIXED_FLOATS, indent)
+    nested = {"w": FIXED_FLOATS, "v": [FIXED_FLOATS]}
+    as_numpy = {"w": [np.float64(x) for x in FIXED_FLOATS],
+                "v": [[np.float64(x) for x in FIXED_FLOATS]]}
+    assert dumps(nested, indent) == dumps(as_numpy, indent)
+
+
 def test_dumps_rejects_unserializable():
     with pytest.raises(TypeError):
         dumps({"x": object()})

@@ -82,6 +82,15 @@ def test_product_power_matvec_matches_kron():
     assert np.allclose(_apply_product_power(m, 3, v), _kron_power(m, 3) @ v)
 
 
+@pytest.mark.parametrize("d,n", [(2, 1), (4, 2), (2, 4), (3, 4)])
+def test_product_power_matvec_matches_kron_at_each_power(d, n):
+    rng = np.random.default_rng(d * 10 + n)
+    m = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    v = rng.normal(size=d ** n) + 1j * rng.normal(size=d ** n)
+    assert np.allclose(_apply_product_power(m, n, v), _kron_power(m, n) @ v,
+                       rtol=1e-13, atol=1e-13)
+
+
 def test_hierarchy_consistent_on_realizable_triples():
     psi = haar_random_pure_on(TRIPLE.joint, 31)
     st = marginals_of(psi, TRIPLE)
@@ -186,6 +195,27 @@ def test_certificate_json_round_shape():
     assert payload["verdict"] == VERDICT_VIOLATED
     assert payload["level"] == 1
     assert "witness_re" in payload and len(payload["witness_re"]) == 64
+
+
+@pytest.mark.parametrize("gap,verdict,warning", [
+    (-2e-17, VERDICT_CONSISTENT, False),
+    (2e-17, VERDICT_CONSISTENT, False),
+    (-5e-10, VERDICT_CONSISTENT, True),
+    (-2e-9, VERDICT_VIOLATED, False),
+])
+def test_near_zero_warning_ignores_rounding(gap, verdict, warning):
+    """Only a gap between -tol.psd and -tol.eig is near a violation; a gap
+    within the eigensolver's accuracy of 0 is rounding noise."""
+    cert = qmp_mod._certificate(gap, np.zeros(64), 1, TRIPLE, TOL)
+    assert (cert.verdict, cert.near_zero_warning) == (verdict, warning)
+
+
+def test_haar_triangle_certificate_has_no_warning():
+    st = marginals_of(haar_random_pure_on(TRIPLE.joint, 77), TRIPLE)
+    cert = hierarchy_check(st, 2)
+    assert cert.verdict == VERDICT_CONSISTENT
+    assert abs(cert.gap) < TOL.eig
+    assert cert.to_json()["near_zero_warning"] is False
 
 
 def test_rate_bound_only_above_dimension_squared():

@@ -276,6 +276,25 @@ def test_lanczos_never_undershoots_on_psd():
         assert lam >= -1e-10 * np.linalg.norm(h)
 
 
+@pytest.mark.parametrize("dim", [33, 100])
+def test_lanczos_is_safe_when_the_matvec_returns_a_view(dim):
+    """The exchange operator J (reversal) returns a view of its input; the
+    three-term step must not write through it into the Lanczos basis."""
+    lam, vec = lanczos_min_eig(lambda x: x[::-1], dim)
+    assert lam == pytest.approx(-1.0, abs=1e-10)
+    assert np.linalg.norm(vec[::-1] + vec) < 1e-8
+
+
+def test_lanczos_second_reorthogonalization_pass_on_psd():
+    """On this PSD input one Gram-Schmidt pass cancels most of a Lanczos
+    vector, so the guarded second pass runs; the minimum must stay exact."""
+    rng = np.random.default_rng(1)
+    a = rng.normal(size=(60, 60))
+    h = a @ a.T
+    lam, _ = lanczos_min_eig(lambda v: h @ v, 60)
+    assert abs(lam - np.linalg.eigvalsh(h)[0]) <= 1e-10 * np.linalg.norm(h)
+
+
 def test_haar_pure_state_is_normalized_and_seeded():
     psi1 = haar_random_pure(7, 123)
     psi2 = haar_random_pure(7, 123)
