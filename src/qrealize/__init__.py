@@ -49,8 +49,7 @@ from .symmetrizer import (SlotLayout, SymmetrizerHandle, WiringOperator,
 from .tensor import (DensityOperator, LabeledSpace, Operator, PureState,
                      apply_slot_permutation, haar_random_density,
                      haar_random_pure, haar_random_pure_on, identity, kron,
-                     min_eigenvalue, min_eigenvalue_matrix_free,
-                     min_eigenvalue_vector, partial_trace,
+                     min_eigenvalue, min_eigenvalue_vector, partial_trace,
                      permutation_operator, power_space, qubits, space,
                      trace_with_permutation)
 

@@ -350,55 +350,6 @@ def min_eigenvalue_vector(h: Operator, tol: Tolerances = TOL) -> tuple[float, np
     return float(w[0]), v[:, 0]
 
 
-def min_eigenvalue_matrix_free(
-    apply_h: Callable[[np.ndarray], np.ndarray],
-    dim: int,
-    *,
-    shift: float | None = None,
-    tol: float = 1e-8,
-    max_iter: int = 10_000,
-    seed: int = 7,
-    budget: Budgets = BUDGET,
-) -> tuple[float, np.ndarray]:
-    """Smallest eigenvalue of a Hermitian operator given only a matvec closure.
-
-    Runs shifted power iteration on (c I - H): with c above the spectrum of H
-    the dominant eigenvector of the shifted operator is H's bottom eigenvector.
-    ``shift`` is the caller's upper bound c (e.g. from Gershgorin discs of a
-    known dense form); when omitted it is estimated by power iteration on H
-    itself, padded by 1%.
-    """
-    if dim > budget.matvec_dim:
-        raise ResourceBudgetError(f"matrix-free dimension {dim} exceeds cap {budget.matvec_dim}")
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    v /= np.linalg.norm(v)
-    if shift is None:
-        w = v.copy()
-        est = 0.0
-        for _ in range(60):
-            w2 = apply_h(w)
-            nrm = np.linalg.norm(w2)
-            if nrm == 0.0:
-                break
-            est = nrm
-            w = w2 / nrm
-        shift = 1.01 * est + 1e-9
-    prev = None
-    for _ in range(max_iter):
-        w = shift * v - apply_h(v)
-        nrm = np.linalg.norm(w)
-        if nrm == 0.0:
-            # H v = shift v exactly; shift is the only eigenvalue seen
-            return float(shift), v
-        v = w / nrm
-        lam = float(np.real(np.vdot(v, apply_h(v))))
-        if prev is not None and abs(lam - prev) <= tol * max(1.0, abs(lam)):
-            return lam, v
-        prev = lam
-    return prev, v
-
-
 # DGKS / ARPACK threshold: reorthogonalize again when one classical
 # Gram-Schmidt pass keeps less than this fraction of the vector's norm
 _REORTH_AGAIN = 0.717

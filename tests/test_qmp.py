@@ -134,6 +134,103 @@ def test_hierarchy_methods_agree():
     assert iterative.gap == pytest.approx(dense.gap, abs=1e-7)
 
 
+CHAIN = scenario((("A", 2), ("B", 2), ("C", 2)), ("AB", "BC"))
+QUTRIT = scenario((("A", 3), ("B", 2)), ("AB", "A"))
+PAIR = scenario((("A", 2), ("B", 2)), ("A", "B"))
+
+
+def _dense_h(scen, st, n, v=1):
+    """RHS - v^{nm} rho^{x n} as one dense Hermitian matrix."""
+    ws = qmp_mod._scenario_sum(scen, n, BUDGET, v)
+    h = ws.to_matrix() - float(v) ** (n * scen.m) * _kron_power(st.product_matrix(), n)
+    return (h + h.conj().T) / 2
+
+
+def _copy_swap(scen, n, i):
+    """Kept-index permutation that swaps copies 1 and 2 of context i."""
+    m = scen.m
+    dims = tuple(scen.context_space(c).total_dim for c in range(m)) * n
+    axes = list(range(n * m))
+    axes[i], axes[m + i] = m + i, i
+    return np.arange(math.prod(dims)).reshape(dims).transpose(axes).ravel()
+
+
+SCENARIOS = {"chain": CHAIN, "qutrit": QUTRIT, "triangle": TRIPLE, "pair": PAIR}
+
+
+@pytest.mark.parametrize("name,v", [("chain", 1), ("chain", 2), ("qutrit", 1), ("qutrit", 2)])
+def test_h_commutes_with_each_per_context_copy_swap(name, v):
+    scen = SCENARIOS[name]
+    st = marginals_of(haar_random_pure_on(scen.joint, 3), scen)
+    h = _dense_h(scen, st, 2, v)
+    for i in range(scen.m):
+        swap = _copy_swap(scen, 2, i)
+        assert np.abs(h[np.ix_(swap, swap)] - h).max() <= 1e-13
+
+
+@pytest.mark.parametrize("name,n,v", [
+    ("chain", 1, 1), ("chain", 2, 1), ("chain", 2, 2), ("qutrit", 1, 1), ("qutrit", 2, 1),
+    ("qutrit", 2, 2), ("triangle", 1, 1), ("pair", 3, 1), ("pair", 3, 2),
+])
+@pytest.mark.parametrize("seed", [3, 11])
+def test_sector_split_gap_and_witness_match_full_eigh(name, n, v, seed):
+    scen = SCENARIOS[name]
+    st = marginals_of(haar_random_pure_on(scen.joint, seed), scen)
+    h = _dense_h(scen, st, n, v)
+    norm = np.linalg.norm(h, 2)
+    want = np.linalg.eigh(h)[0][0]
+    ws = qmp_mod._scenario_sum(scen, n, BUDGET, v)
+    gap, vec = qmp_mod._min_gap(ws, st.product_matrix(), n, method="dense",
+                                lhs_scale=float(v) ** (n * scen.m))
+    assert abs(gap - want) <= 1e-12 * norm
+    assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-12)
+    assert abs(np.vdot(vec, h @ vec).real - gap) <= 1e-12 * norm
+
+
+def test_sector_split_witness_on_a_planted_chain_violation():
+    mix = 0.7 * SINGLET_RHO + 0.3 * np.eye(4) / 4
+    st = MProductState(CHAIN, (DensityOperator(Operator(qubits("A", "B"), mix)),
+                               DensityOperator(Operator(qubits("B", "C"), mix))))
+    cert = hierarchy_check(st, 2, method="dense")
+    assert cert.verdict == VERDICT_VIOLATED
+    h = _dense_h(CHAIN, st, 2)
+    assert cert.gap == pytest.approx(np.linalg.eigvalsh(h)[0], abs=1e-12)
+    assert np.vdot(cert.witness, h @ cert.witness).real == pytest.approx(cert.gap, abs=1e-12)
+
+
+def test_sector_count_and_sizes_on_the_chain():
+    _, sectors, scale = qmp_mod._swap_sectors((4, 4), 2)
+    assert [len(s) for s in sectors] == [100, 60, 60, 36]
+    assert sorted(np.concatenate(sectors)) == list(range(256))
+    assert len(qmp_mod._swap_sectors((4, 4), 1)[1]) == 1
+    assert set(np.round(scale ** -2, 12)) == {1.0, 2.0, 4.0}
+
+
+def test_sector_split_takes_a_non_contiguous_matrix():
+    st = marginals_of(haar_random_pure_on(CHAIN.joint, 4), CHAIN)
+    h = _dense_h(CHAIN, st, 2, v=2)
+    gap, vec = qmp_mod._sector_min_eig(np.asfortranarray(h), (4, 4), 2)
+    assert gap == pytest.approx(np.linalg.eigvalsh(h)[0], abs=1e-12)
+    assert np.linalg.norm(h @ vec - gap * vec) < 1e-12
+
+
+def test_hierarchy_methods_agree_at_level_two_on_the_chain():
+    for seed in (8, 9):
+        st = marginals_of(haar_random_pure_on(CHAIN.joint, seed), CHAIN)
+        dense = hierarchy_check(st, 2, method="dense")
+        iterative = hierarchy_check(st, 2, method="iterative")
+        assert iterative.gap == pytest.approx(dense.gap, abs=1e-7)
+        assert iterative.verdict == dense.verdict
+
+
+def test_non_finite_lanczos_result_raises(monkeypatch):
+    monkeypatch.setattr(qmp_mod, "lanczos_min_eig",
+                        lambda apply_h, dim, **kw: (math.nan, np.zeros(dim)))
+    st = marginals_of(haar_random_pure_on(CHAIN.joint, 8), CHAIN)
+    with pytest.raises(ArithmeticError):
+        hierarchy_check(st, 1, method="iterative")
+
+
 @pytest.mark.parametrize("p,matvecs", [(0.55, 130), (0.8, 65)])
 def test_lanczos_matvec_count_on_planted_triangle(monkeypatch, p, matvecs):
     """Noisy singlets below p ~ 0.6 need a second Lanczos cycle; the count
@@ -300,6 +397,27 @@ def test_subspace_check_with_full_projector_matches_hierarchy():
     a = hierarchy_check(st, 1, method="dense")
     b = subspace_hierarchy_check(st, full, 1)
     assert b.gap == pytest.approx(a.gap, abs=1e-9)
+
+
+@pytest.mark.parametrize("seed", [5, 6])
+def test_subspace_check_with_full_projector_matches_hierarchy_at_level_two(seed):
+    st = marginals_of(haar_random_pure_on(PAIR.joint, seed), PAIR)
+    a = hierarchy_check(st, 2, method="dense")
+    b = subspace_hierarchy_check(st, identity(PAIR.joint), 2)
+    assert b.gap == pytest.approx(a.gap, abs=1e-9)
+
+
+def test_subspace_check_restricts_support_at_level_two():
+    amp = np.zeros(4)
+    amp[0] = 1.0  # |00>
+    proj = Operator(PAIR.joint, np.outer(amp, amp))
+    ok = subspace_hierarchy_check(marginals_of(PureState(PAIR.joint, amp), PAIR), proj, 2)
+    assert ok.verdict == VERDICT_CONSISTENT
+    amp2 = np.zeros(4)
+    amp2[3] = 1.0  # |11>: every copy of its marginals is orthogonal to span{|00>}
+    bad = subspace_hierarchy_check(marginals_of(PureState(PAIR.joint, amp2), PAIR), proj, 2)
+    assert bad.gap == pytest.approx(-1.0, abs=1e-12)
+    assert np.linalg.norm(bad.witness) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_subspace_check_restricts_support():

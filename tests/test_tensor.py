@@ -17,7 +17,6 @@ from qrealize.tensor import (
     kron,
     lanczos_min_eig,
     min_eigenvalue,
-    min_eigenvalue_matrix_free,
     min_eigenvalue_vector,
     partial_trace,
     permutation_operator,
@@ -242,18 +241,6 @@ def test_min_eigenvalue_rejects_non_hermitian():
         min_eigenvalue(op)
 
 
-@pytest.mark.parametrize("dim", [8, 33])
-def test_matrix_free_min_eig_matches_dense(dim):
-    rng = np.random.default_rng(dim)
-    m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    h = (m + m.conj().T) / 2
-    want = np.linalg.eigvalsh(h)[0]
-    lam, vec = min_eigenvalue_matrix_free(lambda v: h @ v, dim,
-                                          shift=np.max(np.sum(np.abs(h), axis=1)))
-    assert lam == pytest.approx(want, abs=1e-5)
-    assert np.linalg.norm(h @ vec - lam * vec) < 1e-2
-
-
 @pytest.mark.parametrize("dim", [16, 100, 257])
 def test_lanczos_min_eig_matches_dense(dim):
     rng = np.random.default_rng(dim + 1)
@@ -333,12 +320,8 @@ def test_eigensolvers_honour_the_callers_matvec_budget():
     small = BUDGET.with_(matvec_dim=8)
     with pytest.raises(ResourceBudgetError):
         lanczos_min_eig(lambda v: v, 16, budget=small)
-    with pytest.raises(ResourceBudgetError):
-        min_eigenvalue_matrix_free(lambda v: v, 16, shift=2.0, budget=small)
     # one past the default cap; the identity closes its Krylov space at once
     dim = BUDGET.matvec_dim + 1
     large = BUDGET.with_(matvec_dim=dim)
     lam, _ = lanczos_min_eig(lambda v: v, dim, block=4, cycles=1, budget=large)
-    assert lam == pytest.approx(1.0)
-    lam, _ = min_eigenvalue_matrix_free(lambda v: v, dim, shift=2.0, budget=large)
     assert lam == pytest.approx(1.0)
