@@ -4,6 +4,9 @@ One job per invocation: parse inputs, dispatch to the library, emit JSON or
 CSV artifacts with 17-significant-digit numbers so outputs are byte-stable
 and round-trip exactly.  Exit codes: 0 success/consistent, 1 certified
 violation, 2 usage or parse error, 3 resource budget exceeded.
+
+Each command imports only the layers it runs, inside its body: every
+invocation is a fresh process, and ``toy-xz --exact`` never loads numpy.
 """
 
 from __future__ import annotations
@@ -12,19 +15,16 @@ import functools
 import json
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import click
-import numpy as np
 
-from . import divergence as div_mod
-from . import estimation as est_mod
-from . import qmp as qmp_mod
-from . import symmetrizer as sym_mod
-from .capacity import capacity as torus_capacity
-from .capacity import torus_rep
 from .config import BUDGET, TOL, ResourceBudgetError
 from .jsonio import dumps, format_float, loads, operator_from_json
-from .tensor import DensityOperator, LabeledSpace, Operator
+
+if TYPE_CHECKING:
+    from .qmp import MProductState
+    from .tensor import DensityOperator, Operator
 
 _CONTEXT = {
     "auto_envvar_prefix": "QREALIZE",
@@ -53,6 +53,8 @@ def _load_operator(path: str) -> Operator:
 
 
 def _load_density(path: str) -> DensityOperator:
+    from .tensor import DensityOperator
+
     op = _load_operator(path)
     try:
         return DensityOperator(op)
@@ -145,7 +147,10 @@ def qmp():
     """Quantum marginal problem checks."""
 
 
-def _scenario_from_marginals(paths) -> qmp_mod.MProductState:
+def _scenario_from_marginals(paths) -> MProductState:
+    from .qmp import MarginalScenario, MProductState
+    from .tensor import LabeledSpace
+
     marginals = [_load_density(p) for p in paths]
     joint: list[tuple[str, int]] = []
     seen = {}
@@ -158,10 +163,10 @@ def _scenario_from_marginals(paths) -> qmp_mod.MProductState:
             else:
                 seen[name] = dim
                 joint.append((name, dim))
-    scen = qmp_mod.MarginalScenario(
+    scen = MarginalScenario(
         LabeledSpace(tuple(joint)),
         tuple(tuple(r.space.names) for r in marginals))
-    return qmp_mod.MProductState(scen, tuple(marginals))
+    return MProductState(scen, tuple(marginals))
 
 
 def _emit_certificate(cert, out) -> None:
@@ -184,8 +189,10 @@ _BUDGET_PERMS_HELP = ("Cap on the (level x contexts)! slot permutations a wiring
 @_guard
 def qmp_check(marginals, level, tol_psd, budget_perms, budget_dim, out):
     """Run the level-n symmetric-subspace test on marginal operator files."""
+    from .qmp import hierarchy_check
+
     state = _scenario_from_marginals(marginals)
-    cert = qmp_mod.hierarchy_check(
+    cert = hierarchy_check(
         state, level, tol=_tolerances(tol_psd), budget=_budget(budget_perms, budget_dim))
     _emit_certificate(cert, out)
     sys.exit(1 if cert.violated else 0)
@@ -200,13 +207,15 @@ def qmp_check(marginals, level, tol_psd, budget_perms, budget_dim, out):
 @_guard
 def qmp_witness3(ab, ac, bc, tol_psd, out):
     """Three-qubit overlapping-pairs witness; nonzero certifies violation."""
+    from .qmp import three_qubit_witness
+
     rhos = []
     for path in (ab, ac, bc):
         rho = _load_density(path)
         if rho.space.dims != (2, 2):
             raise click.UsageError(f"{path}: witness3 needs two-qubit marginals")
         rhos.append(rho)
-    value = qmp_mod.three_qubit_witness(*rhos)
+    value = three_qubit_witness(*rhos)
     if out:
         _emit(dumps({"value": value}, indent=2) + "\n", out)
     sys.stdout.write(format_float(value) + "\n")
@@ -220,7 +229,9 @@ def qmp_witness3(ab, ac, bc, tol_psd, out):
 @_guard
 def qmp_bipartite(rho_a, rho_b, out):
     """Pure-state bipartite compatibility: spectra match, or a rate certificate."""
-    result = qmp_mod.bipartite_check(_load_density(rho_a), _load_density(rho_b))
+    from .qmp import bipartite_check
+
+    result = bipartite_check(_load_density(rho_a), _load_density(rho_b))
     _emit(dumps(result.to_json(), indent=2) + "\n", out)
     sys.exit(0 if result.realizable else 1)
 
@@ -236,8 +247,10 @@ def qmp_bipartite(rho_a, rho_b, out):
 @_guard
 def qmp_ortho(marginals, level, rank, tol_psd, budget_perms, budget_dim, out):
     """Rank-restricted isotypic-band variant of the hierarchy test."""
+    from .qmp import ortho_bound_check
+
     state = _scenario_from_marginals(marginals)
-    cert = qmp_mod.ortho_bound_check(
+    cert = ortho_bound_check(
         state, rank, level, tol=_tolerances(tol_psd),
         budget=_budget(budget_perms, budget_dim))
     _emit_certificate(cert, out)
@@ -255,9 +268,11 @@ def qmp_ortho(marginals, level, rank, tol_psd, budget_perms, budget_dim, out):
 @_guard
 def qmp_subspace(marginals, projector, level, tol_psd, budget_dim, out):
     """Hierarchy test restricted to a joint subspace (e.g. an exclusion model)."""
+    from .qmp import subspace_hierarchy_check
+
     state = _scenario_from_marginals(marginals)
     proj = _load_operator(projector)
-    cert = qmp_mod.subspace_hierarchy_check(
+    cert = subspace_hierarchy_check(
         state, proj, level, tol=_tolerances(tol_psd), budget=_budget(None, budget_dim))
     _emit_certificate(cert, out)
     sys.exit(1 if cert.violated else 0)
@@ -272,11 +287,13 @@ def qmp_subspace(marginals, projector, level, tol_psd, budget_dim, out):
 @_guard
 def keyl_cmd(rho, sigma, copies, out):
     """Keyl divergence K(rho || sigma), optionally with the ratio bound."""
+    from .divergence import discrimination_ratio_bound, keyl_divergence
+
     r = _load_density(rho)
     s = _load_density(sigma)
-    payload = {"keyl": div_mod.keyl_divergence(r.mat, s.mat)}
+    payload = {"keyl": keyl_divergence(r.mat, s.mat)}
     if copies is not None:
-        ratio, bound, ok = div_mod.discrimination_ratio_bound(r.mat, s.mat, copies)
+        ratio, bound, ok = discrimination_ratio_bound(r.mat, s.mat, copies)
         payload.update({"copies": copies, "ratio": ratio, "bound": bound, "ok": ok})
     _emit(dumps(payload, indent=2) + "\n", out)
 
@@ -288,11 +305,13 @@ def keyl_cmd(rho, sigma, copies, out):
 @_guard
 def sanov_cmd(q_text, type_text, out):
     """Multinomial mass of one type against its large-deviation envelope."""
+    from .divergence import sanov_bounds_check
+
     q = _floats(q_text)
     lam = _ints(type_text)
     if len(q) != len(lam):
         raise click.UsageError("--q and --type must have equal length")
-    check = div_mod.sanov_bounds_check(q, lam, sum(lam))
+    check = sanov_bounds_check(q, lam, sum(lam))
     _emit(dumps({"lower": check.lower, "value": check.value,
                  "upper": check.upper, "ok": check.ok}, indent=2) + "\n", out)
 
@@ -304,8 +323,10 @@ def sanov_cmd(q_text, type_text, out):
 @_guard
 def spectral_dist_cmd(spec_text, copies, out):
     """CSV distribution of the estimated spectrum shape at n copies."""
+    from .estimation import spectral_dist
+
     spec = _floats(spec_text)
-    dist = est_mod.spectral_dist(spec, copies)
+    dist = spectral_dist(spec, copies)
     header = ",".join(f"l{i + 1}" for i in range(dist.d)) + ",prob"
     lines = [header]
     for t, p in dist.support:
@@ -326,13 +347,16 @@ def spectral_dist_cmd(spec_text, copies, out):
 @_guard
 def density_cmd(eigs_text, mults_text, pair_a, pair_b, at_text, points, out):
     """Expectation-value density: CSV curve, or one joint-density value."""
+    from .estimation import (density_curve, density_degenerate, density_nondegenerate,
+                             density_qubit_pair)
+
     if pair_a or pair_b:
         if not (pair_a and pair_b and at_text):
             raise click.UsageError("joint mode needs --pair-a, --pair-b and --at")
         point = _floats(at_text)
         if len(point) != 2:
             raise click.UsageError("--at must be two numbers")
-        value = est_mod.density_qubit_pair(
+        value = density_qubit_pair(
             _load_operator(pair_a), _load_operator(pair_b), point)
         _emit(dumps({"value": value}, indent=2) + "\n", out)
         return
@@ -344,10 +368,10 @@ def density_cmd(eigs_text, mults_text, pair_a, pair_b, at_text, points, out):
         if len(mults) != len(eigs):
             raise click.UsageError("--mults must match --eigs in length")
         pairs = list(zip(eigs, mults))
-        fun = lambda x: est_mod.density_degenerate(pairs, x)
+        fun = lambda x: density_degenerate(pairs, x)
     else:
-        fun = lambda x: est_mod.density_nondegenerate(eigs, x)
-    curve = est_mod.density_curve(fun, min(eigs), max(eigs), points)
+        fun = lambda x: density_nondegenerate(eigs, x)
+    curve = density_curve(fun, min(eigs), max(eigs), points)
     lines = ["x,f"]
     for x, f in curve.rows():
         lines.append(format_float(x) + "," + format_float(f))
@@ -365,12 +389,18 @@ def density_cmd(eigs_text, mults_text, pair_a, pair_b, at_text, points, out):
 def toy_xz_cmd(shots, trials, seed, bins, exact, out):
     """Two-basis X/Z estimate histogram, or its exact corner/balanced bounds."""
     if exact:
-        res = est_mod.toy_xz_exact_bounds(shots)
+        from .toy_xz import toy_xz_exact_bounds
+
+        res = toy_xz_exact_bounds(shots)
         _emit(dumps({"corner_prob": res.corner_prob, "corner_bound": res.corner_bound,
                      "balanced_prob": res.balanced_prob,
                      "balanced_bound": res.balanced_bound}, indent=2) + "\n", out)
         return
-    samples = est_mod.toy_xz_simulate(shots, trials, seed)
+    import numpy as np
+
+    from .estimation import toy_xz_simulate
+
+    samples = toy_xz_simulate(shots, trials, seed)
     edges = np.linspace(-1.0, 1.0, bins + 1)
     hist, _, _ = np.histogram2d(samples[:, 0], samples[:, 1], bins=[edges, edges])
     lines = ["x_lo,x_hi,z_lo,z_hi,count"]
@@ -391,7 +421,9 @@ def toy_xz_cmd(shots, trials, seed, bins, exact, out):
 @_guard
 def born_ratio_cmd(projector, observable, copies):
     """Outcome probability after n repeated projective observations."""
-    value = est_mod.born_ratio(
+    from .estimation import born_ratio
+
+    value = born_ratio(
         _load_operator(projector), _load_operator(observable), copies)
     sys.stdout.write(format_float(value) + "\n")
 
@@ -404,11 +436,13 @@ def born_ratio_cmd(projector, observable, copies):
 @_guard
 def biriffle_cmd(operators, dim, symmetrize, out):
     """Averaged interleaving sum of k tensor-power operators."""
+    from .symmetrizer import bibiriffle_lower_bound, biriffle_value
+
     xs = [_load_operator(p).mat for p in operators]
-    value = sym_mod.biriffle_value(xs, dim, symmetrize=symmetrize)
+    value = biriffle_value(xs, dim, symmetrize=symmetrize)
     payload = {"value": value}
     if len(xs) == 2:
-        p_n, bound = sym_mod.bibiriffle_lower_bound(xs[0], xs[1], dim)
+        p_n, bound = bibiriffle_lower_bound(xs[0], xs[1], dim)
         payload["bibiriffle_bound"] = bound
         payload["bound_ok"] = bool(p_n >= bound - 1e-12)
     _emit(dumps(payload, indent=2) + "\n", out)
@@ -420,6 +454,11 @@ def biriffle_cmd(operators, dim, symmetrize, out):
 @_guard
 def capacity_cmd(rep, out):
     """Torus capacity of a weight vector: {rank, weights, amplitudes} JSON in."""
+    import numpy as np
+
+    from .capacity import capacity as torus_capacity
+    from .capacity import torus_rep
+
     data = _read_json_file(rep)
     try:
         weights = data["weights"]

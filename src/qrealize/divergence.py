@@ -17,11 +17,10 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .partitions import Partition, approx_partition, finite_difference
-from .tensor import DensityOperator
+from .tensor import DensityOperator, as_matrix
 
 
-def _as_square(x) -> np.ndarray:
-    mat = x.mat if hasattr(x, "mat") else np.asarray(x, dtype=np.complex128)
+def _square(mat: np.ndarray) -> np.ndarray:
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValueError(f"expected a square matrix, got {mat.shape}")
     return mat
@@ -33,7 +32,7 @@ def leading_principal_minors(x) -> np.ndarray:
     Magnitudes below 1e-300 are flushed to exact zero so downstream powers
     never operate on denormal noise.
     """
-    mat = _as_square(x)
+    mat = _square(as_matrix(x))
     d = mat.shape[0]
     out = np.empty(d)
     for i in range(1, d + 1):
@@ -93,7 +92,7 @@ class DiagonalizingFrame:
 
     @staticmethod
     def of(rho) -> "DiagonalizingFrame":
-        mat = _as_square(rho)
+        mat = _square(as_matrix(rho))
         mat = (mat + mat.conj().T) / 2
         w, v = np.linalg.eigh(mat)
         order = np.argsort(w)[::-1]
@@ -114,7 +113,7 @@ class DiagonalizingFrame:
 
     def conjugated(self, other) -> np.ndarray:
         """U* other U — the other operator seen in this frame's basis."""
-        mat = _as_square(other)
+        mat = _square(as_matrix(other))
         return self.u.conj().T @ mat @ self.u
 
 
@@ -160,8 +159,8 @@ def keyl_divergence(rho, sigma) -> float:
 def quantum_relative_entropy(rho, sigma) -> float:
     """Tr rho (ln rho - ln sigma); +inf when rho's support leaks outside
     sigma's."""
-    rmat = _as_square(rho)
-    smat = _as_square(sigma)
+    rmat = _square(as_matrix(rho))
+    smat = _square(as_matrix(sigma))
     rw, rv = np.linalg.eigh((rmat + rmat.conj().T) / 2)
     sw, sv = np.linalg.eigh((smat + smat.conj().T) / 2)
     rw = np.clip(rw, 0.0, None)
@@ -309,7 +308,7 @@ def spectrum_of(rho) -> np.ndarray:
     """Non-increasing eigenvalues of a Hermitian operator, clipped at zero."""
     if isinstance(rho, DensityOperator):
         return rho.spectrum()
-    mat = _as_square(rho)
+    mat = _square(as_matrix(rho))
     return np.clip(np.linalg.eigvalsh((mat + mat.conj().T) / 2)[::-1], 0.0, None)
 
 

@@ -4,21 +4,22 @@ Covers the multinomial type distribution, spectrum estimation over
 partitions, exact expectation-value densities of Haar-random pure states
 (nondegenerate, degenerate, and the qubit two-observable joint case), the
 asymptotic Born ratio after repeated projective outcomes, and the two-basis
-X/Z toy scheme with its corner/balanced probabilities.
+X/Z toy sampler.  The scheme's exact corner/balanced probabilities live in
+the numpy-free ``toy_xz`` module and are re-exported here.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from .divergence import multinomial_mass
 from .partitions import Partition, partitions_of, schur_polynomial, specht_dim
-from .tensor import DensityOperator, Operator
+from .tensor import DensityOperator, Operator, as_matrix
+from .toy_xz import ToyXZBounds, toy_xz_exact_bounds, toy_xz_exact_fractions
 
 
 def compositions(n: int, d: int) -> Iterator[tuple[int, ...]]:
@@ -231,8 +232,7 @@ def density_qubit_pair(a_op, b_op, point: Sequence[float]) -> float:
     Tr(A B)/2 and w^2 = (a,b) T^{-1} (a,b)^T.  Points on or outside the
     support rim get 0 (the rim carries no mass).
     """
-    amat = a_op.mat if hasattr(a_op, "mat") else np.asarray(a_op, dtype=np.complex128)
-    bmat = b_op.mat if hasattr(b_op, "mat") else np.asarray(b_op, dtype=np.complex128)
+    amat, bmat = as_matrix(a_op), as_matrix(b_op)
     for m in (amat, bmat):
         if m.shape != (2, 2):
             raise ValueError("observables must be 2x2")
@@ -264,8 +264,7 @@ def born_ratio(p_op, q_op, n: int) -> float:
     Exactly (Tr Q + n Tr(rho_P Q)) / (d + n) with rho_P = P / Tr P; tends to
     the Born probability Tr(rho_P Q) as n grows.
     """
-    pmat = p_op.mat if hasattr(p_op, "mat") else np.asarray(p_op, dtype=np.complex128)
-    qmat = q_op.mat if hasattr(q_op, "mat") else np.asarray(q_op, dtype=np.complex128)
+    pmat, qmat = as_matrix(p_op), as_matrix(q_op)
     if n < 0:
         raise ValueError("n must be non-negative")
     if np.max(np.abs(pmat @ pmat - pmat)) > 1e-8:
@@ -304,63 +303,6 @@ def toy_xz_simulate(m: int, trials: int, seed: int = 0) -> np.ndarray:
     kx = rng.binomial(m, (1 + x) / 2)
     kz = rng.binomial(m, (1 + z) / 2)
     return np.column_stack([2 * kx / m - 1, 2 * kz / m - 1])
-
-
-class ToyXZBounds(NamedTuple):
-    corner_prob: float
-    corner_bound: float
-    balanced_prob: float
-    balanced_bound: float
-
-
-def _sphere_average(c: Sequence[int]) -> Fraction:
-    """E[f(x) f(z)] for a uniform point on the unit sphere, where
-    f(t) = sum_a c[a] t^(2a), summed exactly from the moments
-    E[x^(2a) z^(2b)] = (2a-1)!! (2b-1)!! / (2a+2b+1)!!.
-
-    The sum runs in integers: with alternating c it cancels to far below
-    its largest term, which float arithmetic would not survive."""
-    k = len(c)
-    odd = [1]                       # odd[j] = (2j-1)!!
-    for j in range(1, 2 * k):
-        odd.append(odd[-1] * (2 * j - 1))
-    den = odd[-1]                   # (2(a+b)+1)!! divides it for all a, b < k
-    num = sum(c[a] * c[b] * odd[a] * odd[b] * (den // odd[a + b + 1])
-              for a in range(k) for b in range(k))
-    return Fraction(num, den)
-
-
-def toy_xz_exact_fractions(m: int) -> tuple[Fraction, Fraction]:
-    """Exact (corner, balanced) probabilities of the X/Z scheme as rationals.
-
-    Both integrands are polynomials in x and z, so each average is a finite
-    sum of sphere moments; balanced is 0 for odd m.
-    """
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    # E[(1+z)^m (1+x)^m] keeps only the even powers of x and z
-    corner = _sphere_average([math.comb(m, 2 * a) for a in range(m // 2 + 1)]) / 4 ** m
-    if m % 2:
-        return corner, Fraction(0)
-    half = m // 2
-    inner = _sphere_average([(-1) ** a * math.comb(half, a) for a in range(half + 1)])
-    return corner, math.comb(m, half) ** 2 * inner / 16 ** half
-
-
-def toy_xz_exact_bounds(m: int) -> ToyXZBounds:
-    """Exact corner and balanced estimate probabilities of the X/Z scheme.
-
-    corner_prob is the Haar average of [((1+z)/2)((1+x)/2)]^m — the chance
-    of an all-up, all-right record — with bound ((3+2*sqrt 2)/8)^m; for even
-    m, balanced_prob is the Haar average of the doubly-balanced record
-    probability C(m,m/2)^2 ((1-z^2)/4)^{m/2} ((1-x^2)/4)^{m/2} with the
-    polynomial floor 1/(2m); odd m returns 0 for both balanced entries.
-    Both probabilities are the rationals of ``toy_xz_exact_fractions``
-    rounded once to float.
-    """
-    corner, balanced = toy_xz_exact_fractions(m)
-    return ToyXZBounds(float(corner), ((3 + 2 * math.sqrt(2)) / 8) ** m,
-                       float(balanced), 0.0 if m % 2 else 1.0 / (2 * m))
 
 
 __all__ = [

@@ -5,18 +5,20 @@ Operators are stored as ``{"labels": [{"name": "A", "dim": 2}, ...],
 On input, labels may also be ``[name, dim]`` pairs (``[["A", 2], ...]``).
 Floats are written with 17 significant digits, enough for an exact float64
 round trip; the stdlib encoder's shortest-repr output is not used so the
-emitted byte strings stay stable across interpreter versions.
+emitted byte strings stay stable across interpreter versions.  numpy and
+``tensor`` are imported only by the operator and state (de)serialisers, so
+a process that writes plain records never loads them.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from typing import Any
+import sys
+from typing import TYPE_CHECKING, Any
 
-import numpy as np
-
-from .tensor import LabeledSpace, Operator, PureState
+if TYPE_CHECKING:
+    from .tensor import LabeledSpace, Operator, PureState
 
 
 def format_float(x: float) -> str:
@@ -73,18 +75,25 @@ def _emit(v: Any, out: list[str], indent: int | None, depth: int) -> None:
             _emit(item, out, indent, depth + 1)
         out.append(nl_close)
         out.append("]")
-    elif isinstance(v, bool) or isinstance(v, np.bool_):
+    elif isinstance(v, bool):
         out.append("true" if v else "false")
     elif v is None:
         out.append("null")
-    elif isinstance(v, (int, np.integer)):
+    elif isinstance(v, int):
         out.append(str(int(v)))
-    elif isinstance(v, (float, np.floating)):
+    elif isinstance(v, float):
         out.append(format_float(float(v)))
     elif isinstance(v, str):
         out.append(json.dumps(v))
     else:
-        raise TypeError(f"cannot serialize {type(v)}")
+        # a numpy scalar implies numpy is loaded; it is written as the
+        # Python bool, int or float of the same value
+        np = sys.modules.get("numpy")
+        casts = ((np.bool_, bool), (np.integer, int), (np.floating, float)) if np else ()
+        cast = next((c for kind, c in casts if isinstance(v, kind)), None)
+        if cast is None:
+            raise TypeError(f"cannot serialize {type(v)}")
+        _emit(cast(v), out, indent, depth)
 
 
 def loads(text: str) -> Any:
@@ -97,6 +106,8 @@ def _labels_to_json(sp: LabeledSpace) -> list[dict]:
 
 def _labels_from_json(labels: list) -> LabeledSpace:
     """Read labels as ``{"name", "dim"}`` objects or ``[name, dim]`` pairs."""
+    from .tensor import LabeledSpace
+
     pairs = []
     for l in labels:
         if isinstance(l, dict):
@@ -116,6 +127,10 @@ def operator_to_json(op: Operator) -> dict:
 
 
 def operator_from_json(data: dict) -> Operator:
+    import numpy as np
+
+    from .tensor import Operator
+
     sp = _labels_from_json(data["labels"])
     re = np.asarray(data["re"], dtype=float)
     im = np.asarray(data.get("im", np.zeros_like(re)), dtype=float)
@@ -131,6 +146,10 @@ def state_to_json(st: PureState) -> dict:
 
 
 def state_from_json(data: dict) -> PureState:
+    import numpy as np
+
+    from .tensor import PureState
+
     sp = _labels_from_json(data["labels"])
     re = np.asarray(data["amp_re"], dtype=float)
     im = np.asarray(data.get("amp_im", np.zeros_like(re)), dtype=float)

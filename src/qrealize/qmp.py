@@ -29,7 +29,7 @@ from .partitions import littlewood_richardson, partitions_of, \
 from .symmetrizer import WiringSum, check_perms_budget, isotypic_band_weight, \
     scenario_layout, sym_projector, traced_permutation_sum
 from .tensor import DensityOperator, LabeledSpace, Operator, PureState, \
-    lanczos_min_eig, partial_trace, power_space
+    as_matrix, lanczos_min_eig, partial_trace, power_space
 
 VERDICT_CONSISTENT = "CONSISTENT_AT_LEVEL"
 VERDICT_VIOLATED = "VIOLATED"
@@ -429,13 +429,6 @@ _SINGLET = np.array([0.0, 1.0, -1.0, 0.0]) / math.sqrt(2.0)
 _SINGLET_PROJ = np.outer(_SINGLET, _SINGLET)
 
 
-def _as_two_qubit(x) -> np.ndarray:
-    mat = x.mat if hasattr(x, "mat") else np.asarray(x, dtype=np.complex128)
-    if mat.shape != (4, 4):
-        raise ValueError(f"expected a two-qubit operator, got shape {mat.shape}")
-    return mat
-
-
 def three_qubit_witness(rho_ab, rho_ac, rho_bc) -> float:
     """Overlap of a pairwise-marginal triple with the three-singlet direction.
 
@@ -444,8 +437,11 @@ def three_qubit_witness(rho_ab, rho_ac, rho_bc) -> float:
     triple arising from one joint three-qubit pure state gives exactly 0, so
     a nonzero value certifies that no such joint state exists.
     """
-    x = np.kron(np.kron(_as_two_qubit(rho_ab), _as_two_qubit(rho_ac)),
-                _as_two_qubit(rho_bc))
+    mats = [as_matrix(r) for r in (rho_ab, rho_ac, rho_bc)]
+    for mat in mats:
+        if mat.shape != (4, 4):
+            raise ValueError(f"expected a two-qubit operator, got shape {mat.shape}")
+    x = np.kron(np.kron(mats[0], mats[1]), mats[2])
     # x axes: [A1, B1, A2, C2, B3, C3]; singlet pairs (A1,A2), (B1,B3), (C2,C3)
     w = np.kron(np.kron(_SINGLET_PROJ, _SINGLET_PROJ), _SINGLET_PROJ)
     # w axes: [A1, A2, B1, B3, C2, C3] -> reorder to x's axes

@@ -30,8 +30,8 @@ import numpy as np
 from .config import BUDGET, Budgets, ResourceBudgetError
 from .partitions import (Partition, all_cycle_types, cycle_type, double_cosets,
                          mn_character, partitions_of, specht_dim, weyl_dim)
-from .tensor import (DensityOperator, LabeledSpace, Operator,
-                     apply_slot_permutation, trace_with_permutation)
+from .tensor import (DensityOperator, LabeledSpace, Operator, apply_slot_permutation,
+                     as_matrix, trace_with_permutation)
 
 # ---------------------------------------------------------------------------
 # Dense permutation-sum projectors on k equal slots
@@ -509,14 +509,8 @@ def isotypic_band_weight(nslots: int, max_len: int) -> Callable[[Partition], flo
 # Biriffle sums
 
 
-def _as_matrix(x) -> np.ndarray:
-    if isinstance(x, Operator):
-        return x.mat
-    return np.asarray(x, dtype=np.complex128)
-
-
 def _check_biriffle_inputs(xs, d: int) -> tuple[list[np.ndarray], int]:
-    mats = [_as_matrix(x) for x in xs]
+    mats = [as_matrix(x) for x in xs]
     if not mats:
         raise ValueError("need at least one operator")
     size = mats[0].shape[0]

@@ -227,6 +227,11 @@ class PureState:
         return f"PureState(space={self.space.names})"
 
 
+def as_matrix(x) -> np.ndarray:
+    """The matrix of an Operator or DensityOperator, else ``x`` as a complex array."""
+    return x.mat if hasattr(x, "mat") else np.asarray(x, dtype=np.complex128)
+
+
 def kron(a: Operator, b: Operator) -> Operator:
     """Tensor (Kronecker) product; label lists concatenate."""
     return Operator(a.space.concat(b.space), np.kron(a.mat, b.mat))

@@ -374,3 +374,96 @@ def test_cli_import_does_not_load_scipy():
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": src}
     assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
+
+
+def _fresh_python(*args):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+                          timeout=60)
+
+
+def test_toy_xz_exact_runs_without_numpy():
+    """toy-xz --exact is pure rational arithmetic; numpy alone costs ~0.14 s
+    of a cold process."""
+    proc = _fresh_python("-X", "importtime", "-m", "qrealize.cli", "toy-xz", "--exact", "-m", "4")
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["balanced_bound"] == 0.125
+    imported = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()
+                if line.startswith("import time:")}
+    assert "qrealize.toy_xz" in imported
+    assert not {m for m in imported if m.split(".")[0] == "numpy"}
+
+
+def test_cli_import_loads_no_solver_layer():
+    code = ("import json, sys, qrealize.cli; "
+            "print(json.dumps([m for m in sys.modules if m.startswith('qrealize')]))")
+    proc = _fresh_python("-c", code)
+    assert proc.returncode == 0
+    loaded = set(json.loads(proc.stdout))
+    assert not loaded & {"qrealize.qmp", "qrealize.symmetrizer", "qrealize.capacity"}
+
+
+def test_package_import_loads_no_submodule():
+    code = ("import json, sys, qrealize; "
+            "print(json.dumps([m for m in sys.modules if m.startswith('qrealize')]))")
+    proc = _fresh_python("-c", code)
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout) == ["qrealize"]
+
+
+# Every name the package exported when it imported its submodules eagerly.
+PACKAGE_API = {
+    "capacity": """CapacityResult HullResult OccasionalityTable TorusRep capacity
+        fixed_subspace_projector hull_membership kempf_ness moment_map
+        occasionality_probe torus_rep""",
+    "config": "BUDGET TOL Budgets ResourceBudgetError Tolerances",
+    "divergence": """DiagonalizingFrame RatioBound SanovCheck discrimination_constant
+        discrimination_ratio_bound discrimination_sequence gen_power keyl_divergence
+        kl_divergence leading_principal_minors multinomial_mass
+        quantum_relative_entropy sanov_bounds_check spectrum_of""",
+    "estimation": """DensityCurve ToyXZBounds TypeDistribution born_ratio compositions
+        density_curve density_degenerate density_nondegenerate density_qubit_pair
+        multinomial_type_dist spectral_dist toy_xz_exact_bounds
+        toy_xz_exact_fractions toy_xz_simulate""",
+    "jsonio": """dumps format_float loads operator_from_json operator_to_json read_json
+        state_from_json state_to_json write_json""",
+    "partitions": """Partition all_cycle_types approx_partition conjugacy_class_size
+        coset_cardinality coset_representative cumulative cycle_type double_cosets
+        finite_difference littlewood_richardson mn_character partitions_of
+        schur_polynomial specht_dim weyl_dim""",
+    "qmp": """VERDICT_CONSISTENT VERDICT_VIOLATED BipartiteResult LRRow
+        MarginalScenario MProductState RealizabilityCertificate bipartite_check
+        hierarchy_check is_k_uniform lr_inequality_check marginals_of
+        ortho_bound_check scenario subspace_hierarchy_check three_qubit_witness""",
+    "symmetrizer": """SlotLayout SymmetrizerHandle WiringOperator WiringSum
+        antisym_projector bibiriffle_lower_bound biriffle_bruteforce biriffle_value
+        isotypic_band_weight isotypic_projector scenario_layout sym_projector
+        symmetrize_operator traced_permutation traced_permutation_sum
+        traced_symmetrizer uniform_sym_state""",
+    "tensor": """DensityOperator LabeledSpace Operator PureState apply_slot_permutation
+        haar_random_density haar_random_pure haar_random_pure_on identity kron
+        min_eigenvalue min_eigenvalue_vector partial_trace permutation_operator
+        power_space qubits space trace_with_permutation""",
+}
+
+
+def test_lazy_package_exports_the_same_objects():
+    import importlib
+
+    import qrealize
+
+    names = []
+    for module, text in PACKAGE_API.items():
+        mod = importlib.import_module(f"qrealize.{module}")
+        for name in text.split():
+            assert getattr(qrealize, name) is getattr(mod, name), name
+            names.append(name)
+    assert len(names) == 120
+    assert sorted(qrealize.__all__) == sorted(names)
+    assert set(names) <= set(dir(qrealize))
+    assert callable(qrealize.capacity)    # the function, not the submodule
+    from qrealize import jsonio, qmp
+    assert qmp.hierarchy_check is qrealize.hierarchy_check
+    assert jsonio.dumps is qrealize.dumps
+    assert qrealize.__version__ == "0.1.0"

@@ -1,6 +1,7 @@
 """Stable JSON emission and operator/state round trips."""
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -18,7 +19,8 @@ from qrealize.jsonio import (
     state_to_json,
     write_json,
 )
-from qrealize.tensor import Operator, PureState, space
+from qrealize.qmp import MProductState, hierarchy_check, scenario
+from qrealize.tensor import DensityOperator, Operator, PureState, space
 
 
 def test_format_float_exact_17_digits():
@@ -53,8 +55,22 @@ def test_dumps_is_byte_stable_and_order_preserving():
 
 
 def test_dumps_handles_numpy_scalars():
-    doc = {"i": np.int64(4), "f": np.float64(0.5), "b": np.bool_(True)}
-    assert dumps(doc) == '{"i":4,"f":0.5,"b":true}'
+    """numpy scalars are written as the Python bool, int or float of the same
+    value (float16/float32 at their exact double value); these are the bytes
+    the emitter wrote when it imported numpy eagerly."""
+    doc = {"b": np.bool_(False), "t": np.bool_(True), "i": np.int64(-7),
+           "u": np.uint8(200), "f16": np.float16(0.1), "f32": np.float32(0.1),
+           "f64": np.float64(1 / 3), "ld": np.longdouble(0.25),
+           "l": [np.float32(2.5), np.int32(3), np.float64(0.1)]}
+    assert dumps(doc) == (
+        '{"b":false,"t":true,"i":-7,"u":200,"f16":0.0999755859375,'
+        '"f32":0.10000000149011612,"f64":0.33333333333333331,"ld":0.25,'
+        '"l":[2.5,3,0.10000000000000001]}')
+    assert dumps(doc, indent=2) == (
+        '{\n  "b": false,\n  "t": true,\n  "i": -7,\n  "u": 200,\n'
+        '  "f16": 0.0999755859375,\n  "f32": 0.10000000149011612,\n'
+        '  "f64": 0.33333333333333331,\n  "ld": 0.25,\n'
+        '  "l": [\n    2.5,\n    3,\n    0.10000000000000001\n  ]\n}')
 
 
 def _per_item(values, indent):
@@ -98,10 +114,32 @@ def test_mixed_and_numpy_float_lists_give_the_same_bytes(indent):
 
 
 def test_dumps_rejects_unserializable():
-    with pytest.raises(TypeError):
-        dumps({"x": object()})
+    for bad in (object(), np.complex128(1 + 2j), np.array(1.0)):
+        with pytest.raises(TypeError, match=re.escape(str(type(bad)))):
+            dumps({"x": bad})
     with pytest.raises(TypeError):
         dumps({1: "non-string key"})
+
+
+_FLOAT_TOKEN = re.compile(r"-?\d+\.\d+(?:e[-+]\d+)?|-?\d+e[-+]\d+")
+
+
+def test_level2_triangle_certificate_bytes_match_the_stdlib_layout():
+    """A level-2 certificate is the stdlib's indent-2 layout with every float
+    written at 17 significant digits."""
+    singlet = np.array([0.0, 1.0, -1.0, 0.0]) / math.sqrt(2.0)
+    rho = 0.8 * np.outer(singlet, singlet) + 0.05 * np.eye(4)
+    contexts = ("AB", "AC", "BC")
+    scen = scenario((("A", 2), ("B", 2), ("C", 2)), contexts)
+    state = MProductState(scen, tuple(
+        DensityOperator(Operator(space((c[0], 2), (c[1], 2)), rho)) for c in contexts))
+    record = hierarchy_check(state, 2).to_json()
+    assert record["verdict"] == "VIOLATED" and len(record["witness_re"]) == 4096
+    text = dumps(record, indent=2)
+    reference = _FLOAT_TOKEN.sub(lambda m: format_float(float(m.group())),
+                                 json.dumps(record, indent=2))
+    assert text == reference
+    assert json.loads(text) == record
 
 
 def test_loads_reports_position_on_malformed_text():
