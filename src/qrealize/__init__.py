@@ -49,18 +49,17 @@ _EXPORTS = {
         "marginals_of", "ortho_bound_check", "scenario", "subspace_hierarchy_check",
         "three_qubit_witness"),
     "symmetrizer": (
-        "SlotLayout", "SymmetrizerHandle", "WiringOperator", "WiringSum",
-        "antisym_projector", "bibiriffle_lower_bound", "biriffle_bruteforce",
-        "biriffle_value", "isotypic_band_weight", "isotypic_projector",
-        "scenario_layout", "sym_projector", "symmetrize_operator",
-        "traced_permutation", "traced_permutation_sum", "traced_symmetrizer",
-        "uniform_sym_state"),
+        "SlotLayout", "WiringOperator", "WiringSum", "antisym_projector",
+        "bibiriffle_lower_bound", "biriffle_bruteforce", "biriffle_value",
+        "isotypic_band_weight", "isotypic_projector", "scenario_layout",
+        "sym_projector", "symmetrize_operator", "traced_permutation",
+        "traced_permutation_sum", "traced_symmetrizer", "uniform_sym_state"),
     "tensor": (
         "DensityOperator", "LabeledSpace", "Operator", "PureState",
         "apply_slot_permutation", "haar_random_density", "haar_random_pure",
-        "haar_random_pure_on", "identity", "kron", "min_eigenvalue",
-        "min_eigenvalue_vector", "partial_trace", "permutation_operator",
-        "power_space", "qubits", "space", "trace_with_permutation"),
+        "haar_random_pure_on", "identity", "kron", "partial_trace",
+        "permutation_operator", "power_space", "qubits", "space",
+        "trace_with_permutation"),
     "toy_xz": ("ToyXZBounds", "toy_xz_exact_bounds", "toy_xz_exact_fractions"),
 }
 _SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -11,6 +11,7 @@ invocation is a fresh process, and ``toy-xz --exact`` never loads numpy.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import json
 import sys
@@ -101,6 +102,8 @@ def _ints(text: str) -> list[int]:
 
 
 def _guard(fn):
+    """Map library errors to exit codes: a ``ValueError`` is a usage error
+    (2), a ``ResourceBudgetError`` a budget stop (3)."""
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):
         try:
@@ -108,22 +111,15 @@ def _guard(fn):
         except ResourceBudgetError as exc:
             click.echo(f"resource budget exceeded: {exc}", err=True)
             sys.exit(3)
+        except ValueError as exc:
+            raise click.UsageError(str(exc))
     return wrapper
 
 
 def _config_payload() -> dict:
     return {
-        "tolerances": {
-            "herm": TOL.herm, "trace": TOL.trace, "psd": TOL.psd,
-            "eig": TOL.eig, "uniform": TOL.uniform,
-        },
-        "budgets": {
-            "dense_dim": BUDGET.dense_dim, "dense_eig_dim": BUDGET.dense_eig_dim,
-            "perms_dense": BUDGET.perms_dense,
-            "perms_matrix_free": BUDGET.perms_matrix_free,
-            "matvec_dim": BUDGET.matvec_dim,
-            "bruteforce_perms": BUDGET.bruteforce_perms,
-        },
+        "tolerances": dataclasses.asdict(TOL),
+        "budgets": dataclasses.asdict(BUDGET),
         "seed": 0,
         "env_prefix": "QREALIZE",
     }

@@ -25,7 +25,7 @@ class Tolerances:
 @dataclass(frozen=True)
 class Budgets:
     dense_dim: int = 2 ** 18        # hard cap on dense operator dimension
-    dense_eig_dim: int = 4096       # largest dimension sent to a dense eigensolver
+    dense_eig_dim: int = 4096       # cap on dense eigensolves and sym/antisym/isotypic projectors
     perms_dense: int = 5040         # factorial cap for dense permutation sums
     perms_matrix_free: int = 500_000
     matvec_dim: int = 300_000       # practical matrix-free dimension

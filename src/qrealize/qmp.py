@@ -265,27 +265,24 @@ def _sector_min_eig(h: np.ndarray, ctx_dims: tuple[int, ...], n: int
     return float(w[0]), vec
 
 
-_DENSE_EIG_FAST = 1024  # prefer LAPACK below this, Lanczos above
+_DENSE_EIG_FAST = 1024  # LAPACK up to this kept dimension, Lanczos above
 
 
-def _min_gap(ws: WiringSum, rho_m: np.ndarray, n: int, *, method: str = "auto",
-             budget: Budgets = BUDGET, lhs_scale: float = 1.0) -> tuple[float, np.ndarray]:
+def _min_gap(ws: WiringSum, rho_m: np.ndarray, n: int, *, budget: Budgets = BUDGET,
+             lhs_scale: float = 1.0) -> tuple[float, np.ndarray]:
     """Smallest eigenvalue (and eigenvector) of RHS - lhs_scale * rho_m^{x n}.
 
-    ``ws`` is a scenario sum (slot t*m + i keeps context i).  The dense path
-    splits the matrix into the sectors of the per-context swap of copies 1
-    and 2, which commutes with both terms, and solves the blocks with LAPACK
-    (see ``_sector_min_eig``); the iterative path runs Lanczos on
-    the full kept space.  A non-finite Lanczos result raises
-    ``ArithmeticError``."""
+    ``ws`` is a scenario sum (slot t*m + i keeps context i).  Kept dimensions
+    up to ``_DENSE_EIG_FAST`` solve densely: the matrix is split into the
+    sectors of the per-context swap of copies 1 and 2, which commutes with
+    both terms, and the blocks go to LAPACK (see ``_sector_min_eig``); above
+    that, Lanczos runs on the full kept space.  A non-finite Lanczos result
+    raises ``ArithmeticError``."""
     layout = ws.layout
     big = layout.out_dim
     if rho_m.shape[0] ** n != big:
         raise ValueError("product state dimension does not match the layout")
-    if method not in ("auto", "dense", "iterative"):
-        raise ValueError(f"unknown method {method!r}")
-    use_dense = method == "dense" or (method == "auto" and big <= _DENSE_EIG_FAST)
-    if use_dense:
+    if big <= _DENSE_EIG_FAST:
         if big > budget.dense_eig_dim:
             raise ResourceBudgetError(f"dense eigensolve dimension {big} exceeds cap")
         m = layout.nslots // n
@@ -345,25 +342,25 @@ def _certificate(gap: float, wvec: np.ndarray, n: int, scen: MarginalScenario,
 
 
 def hierarchy_check(state: MProductState, n: int, *, tol: Tolerances = TOL,
-                    budget: Budgets = BUDGET, method: str = "auto") -> RealizabilityCertificate:
+                    budget: Budgets = BUDGET) -> RealizabilityCertificate:
     """Level-n realizability check for a candidate marginal tuple.
 
     Computes the smallest eigenvalue of the traced symmetrizer minus the
     tuple's n-th tensor power.  A gap below -tol.psd is a sound certificate
     that no joint pure state has these marginals; a non-negative gap only
-    rules nothing out at this level.  Kept dimensions up to 1024 (or
-    ``method="dense"``) solve densely, one LAPACK block per sector of the
-    per-context swap of copies 1 and 2 (four blocks of 100, 60, 60 and 36 on
-    the AB, BC chain at n = 2); larger ones run Lanczos.
+    rules nothing out at this level.  Kept dimensions up to 1024 solve
+    densely, one LAPACK block per sector of the per-context swap of copies 1
+    and 2 (four blocks of 100, 60, 60 and 36 on the AB, BC chain at n = 2);
+    larger ones run Lanczos.
     """
     scen = state.scenario
     ws = _scenario_sum(scen, n, budget)
-    gap, wvec = _min_gap(ws, state.product_matrix(), n, method=method, budget=budget)
+    gap, wvec = _min_gap(ws, state.product_matrix(), n, budget=budget)
     return _certificate(gap, wvec, n, scen, tol)
 
 
 def ortho_bound_check(state: MProductState, v: int, n: int, *, tol: Tolerances = TOL,
-                      budget: Budgets = BUDGET, method: str = "auto") -> RealizabilityCertificate:
+                      budget: Budgets = BUDGET) -> RealizabilityCertificate:
     """Necessary condition for v mutually orthogonal joint states to share
     the candidate marginal tuple.
 
@@ -375,7 +372,7 @@ def ortho_bound_check(state: MProductState, v: int, n: int, *, tol: Tolerances =
     if not (1 <= v <= scen.d_joint):
         raise ValueError(f"orthogonal-solution count v={v} must be in 1..{scen.d_joint}")
     ws = _scenario_sum(scen, n, budget, v)
-    gap, wvec = _min_gap(ws, state.product_matrix(), n, method=method, budget=budget,
+    gap, wvec = _min_gap(ws, state.product_matrix(), n, budget=budget,
                          lhs_scale=float(v) ** (n * scen.m))
     return _certificate(gap, wvec, n, scen, tol)
 
@@ -402,10 +399,7 @@ def subspace_hierarchy_check(state: MProductState, p_v: Operator, n: int, *,
     if d_j ** nm > budget.dense_dim:
         raise ResourceBudgetError(
             f"joint power dimension {d_j ** nm} exceeds dense cap")
-    pi = sym_projector(d_j, nm, budget).dense
-    if pi is None:
-        raise ResourceBudgetError("subspace check requires the dense symmetrizer")
-    s = pi.mat @ _kron_power(p_v.mat, nm)
+    s = sym_projector(d_j, nm, budget).mat @ _kron_power(p_v.mat, nm)
     big_space = power_space(scen.joint, nm)
     # wires: slot-major, joint label order inside each slot
     nlab = scen.joint.nslots

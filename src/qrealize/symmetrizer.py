@@ -58,11 +58,12 @@ def _accumulate_axis_perm(mat: np.ndarray, dims: Sequence[int], perm: Sequence[i
 def _permutation_sum(d: int, k: int, weight: Callable[[tuple[int, ...]], complex],
                      budget: Budgets = BUDGET) -> np.ndarray:
     """Sum over all of S_k of weight(perm) T(perm) on (C^d)^{otimes k}, dense."""
-    if math.factorial(k) > budget.perms_dense:
-        raise ResourceBudgetError(f"{k}! permutations exceed dense sum cap")
     big = d ** k
-    if big > budget.dense_eig_dim:
-        raise ResourceBudgetError(f"dimension {big} exceeds dense cap")
+    if big > budget.dense_eig_dim or math.factorial(k) > budget.perms_dense:
+        raise ResourceBudgetError(
+            f"no dense permutation sum on {k} slots of C^{d} within the budget "
+            f"(dimension {big}, cap dense_eig_dim={budget.dense_eig_dim}; "
+            f"{k}! permutations, cap perms_dense={budget.perms_dense})")
     dims = (d,) * k
     col_multi = np.array(np.unravel_index(np.arange(big), dims))
     out = np.zeros((big, big), dtype=np.complex128)
@@ -73,47 +74,14 @@ def _permutation_sum(d: int, k: int, weight: Callable[[tuple[int, ...]], complex
     return out
 
 
-@dataclass(frozen=True)
-class SymmetrizerHandle:
-    """Projector onto the symmetric subspace of (C^d)^{otimes k}.
-
-    Dense matrix when the dimension is small enough, otherwise apply-only;
-    either way ``apply`` averages the k! slot permutations of its argument.
-    """
-
-    d: int
-    k: int
-    dense: Operator | None
-
-    @property
-    def dim(self) -> int:
-        return self.d ** self.k
-
-    def trace(self) -> int:
-        return math.comb(self.k + self.d - 1, self.k)
-
-    def apply(self, vec: np.ndarray) -> np.ndarray:
-        if self.dense is not None:
-            return self.dense.mat @ np.asarray(vec, dtype=np.complex128).reshape(-1)
-        dims = (self.d,) * self.k
-        acc = np.zeros(self.dim, dtype=np.complex128)
-        for perm in itertools.permutations(range(self.k)):
-            acc += apply_slot_permutation(vec, dims, perm)
-        return acc / math.factorial(self.k)
-
-
 def _slot_space(d: int, k: int) -> LabeledSpace:
     return LabeledSpace(tuple((f"s{t}", d) for t in range(k)))
 
 
-def sym_projector(d: int, k: int, budget: Budgets = BUDGET) -> SymmetrizerHandle:
+def sym_projector(d: int, k: int, budget: Budgets = BUDGET) -> Operator:
     """Orthogonal projector onto the symmetric subspace of k slots of C^d."""
-    if d ** k <= budget.dense_eig_dim and math.factorial(k) <= budget.perms_dense:
-        mat = _permutation_sum(d, k, lambda p: 1.0 / math.factorial(k), budget)
-        return SymmetrizerHandle(d, k, Operator(_slot_space(d, k), mat))
-    if d ** k > budget.matvec_dim:
-        raise ResourceBudgetError(f"dimension {d ** k} exceeds matrix-free cap")
-    return SymmetrizerHandle(d, k, None)
+    mat = _permutation_sum(d, k, lambda p: 1.0 / math.factorial(k), budget)
+    return Operator(_slot_space(d, k), mat)
 
 
 def antisym_projector(d: int, k: int, budget: Budgets = BUDGET) -> Operator:
@@ -142,23 +110,10 @@ def set_cycles(perm: Sequence[int]) -> list[list[int]]:
     return cycles
 
 
-def _dense_sym_projector(d: int, k: int, budget: Budgets = BUDGET) -> SymmetrizerHandle:
-    """The symmetric-subspace projector with its dense matrix, or
-    ResourceBudgetError when the budget only allows the apply-only form."""
-    handle = sym_projector(d, k, budget)
-    if handle.dense is None:
-        raise ResourceBudgetError(
-            f"no dense symmetric projector on {k} slots of C^{d} within the budget "
-            f"(dimension {d ** k}, cap {budget.dense_eig_dim}; "
-            f"{k}! permutations, cap {budget.perms_dense})")
-    return handle
-
-
 def uniform_sym_state(d: int, k: int, budget: Budgets = BUDGET) -> DensityOperator:
     """The maximally mixed state on the symmetric subspace,
     projector / binom(k+d-1, k)."""
-    handle = _dense_sym_projector(d, k, budget)
-    return DensityOperator(handle.dense * (1.0 / handle.trace()))
+    return DensityOperator(sym_projector(d, k, budget) * (1.0 / math.comb(k + d - 1, k)))
 
 
 def isotypic_projector(lam: Partition, d: int, n: int, budget: Budgets = BUDGET) -> Operator:
@@ -450,9 +405,6 @@ class WiringSum:
             lo += count * k
         return out
 
-    def to_operator(self, budget: Budgets = BUDGET) -> Operator:
-        return Operator(self.layout.space(), self.to_matrix(budget))
-
 
 def check_perms_budget(nslots: int, budget: Budgets = BUDGET) -> None:
     """Raise ResourceBudgetError when a sum over all nslots! slot
@@ -526,7 +478,7 @@ def _check_biriffle_inputs(xs, d: int) -> tuple[list[np.ndarray], int]:
 def symmetrize_operator(x, d: int, budget: Budgets = BUDGET) -> np.ndarray:
     """Compress x to the symmetric subspace: projector @ x @ projector."""
     mats, n = _check_biriffle_inputs([x], d)
-    p = _dense_sym_projector(d, n, budget).dense.mat
+    p = sym_projector(d, n, budget).mat
     return p @ mats[0] @ p
 
 
@@ -543,7 +495,7 @@ def biriffle_value(xs: Sequence, d: int, *, symmetrize: bool = False,
     mats, n = _check_biriffle_inputs(xs, d)
     k = len(mats)
     if symmetrize:
-        p = _dense_sym_projector(d, n, budget).dense.mat
+        p = sym_projector(d, n, budget).mat
         mats = [p @ m @ p for m in mats]
     total = 0.0 + 0.0j
     for _, card, rep in double_cosets(n, k):

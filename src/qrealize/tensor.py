@@ -340,21 +340,6 @@ def trace_with_permutation(ops: Sequence[np.ndarray], block_dims: Sequence[int],
     return complex(np.einsum(*args, []))
 
 
-def min_eigenvalue(h: Operator, tol: Tolerances = TOL) -> float:
-    """Smallest eigenvalue of the Hermitian part of ``h`` (dense solve)."""
-    if not h.is_hermitian(tol.herm):
-        raise ValueError("min_eigenvalue requires a Hermitian operator")
-    return float(np.linalg.eigvalsh(h.hermitian_part().mat)[0])
-
-
-def min_eigenvalue_vector(h: Operator, tol: Tolerances = TOL) -> tuple[float, np.ndarray]:
-    """Smallest eigenvalue and a corresponding unit eigenvector (dense)."""
-    if not h.is_hermitian(tol.herm):
-        raise ValueError("min_eigenvalue requires a Hermitian operator")
-    w, v = np.linalg.eigh(h.hermitian_part().mat)
-    return float(w[0]), v[:, 0]
-
-
 # DGKS / ARPACK threshold: reorthogonalize again when one classical
 # Gram-Schmidt pass keeps less than this fraction of the vector's norm
 _REORTH_AGAIN = 0.717

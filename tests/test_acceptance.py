@@ -338,7 +338,7 @@ def test_c12_born_ratio_oracle_and_endpoints():
 
         def avg(ops):
             k = len(ops)
-            pi = sym_projector(d, k).dense.mat
+            pi = sym_projector(d, k).mat
             big = ops[0]
             for o in ops[1:]:
                 big = np.kron(big, o)

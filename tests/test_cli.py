@@ -298,6 +298,24 @@ def test_capacity_command(runner, tmp_path):
     assert runner.invoke(main, ["capacity", str(bad)]).exit_code == 2
 
 
+@pytest.mark.parametrize("args,message", [
+    (["toy-xz", "--exact", "-m", "0"], "m must be >= 1"),
+    (["toy-xz", "-m", "0"], "m must be >= 1"),
+    (["spectral-dist", "--spec", "0.5,0.5", "-n", "-1"], "need n >= 0"),
+    (["qmp", "ortho", "AB", "AC", "BC", "--rank", "0"], "orthogonal-solution count v=0"),
+    (["qmp", "check", "AB", "AC", "BC", "--level", "0"], "need n >= 0"),
+], ids=["toy-xz-exact", "toy-xz", "spectral-dist", "qmp-ortho", "qmp-check"])
+def test_library_value_error_is_a_usage_error(tmp_path, args, message):
+    """Exit 1 means a certified violation; a rejected input exits 2."""
+    args = [_singlet_pair(tmp_path / f"{a}.json", *a) if a in ("AB", "AC", "BC") else a
+            for a in args]
+    proc = _fresh_python("-m", "qrealize.cli", *args)
+    assert proc.returncode == 2
+    assert message in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
+
+
 def test_budget_exhaustion_exits_3(runner, tmp_path):
     ab = _mixed_pair(tmp_path / "ab.json", "A", "B")
     bc = _mixed_pair(tmp_path / "bc.json", "B", "C")
@@ -436,15 +454,15 @@ PACKAGE_API = {
         MarginalScenario MProductState RealizabilityCertificate bipartite_check
         hierarchy_check is_k_uniform lr_inequality_check marginals_of
         ortho_bound_check scenario subspace_hierarchy_check three_qubit_witness""",
-    "symmetrizer": """SlotLayout SymmetrizerHandle WiringOperator WiringSum
-        antisym_projector bibiriffle_lower_bound biriffle_bruteforce biriffle_value
-        isotypic_band_weight isotypic_projector scenario_layout sym_projector
-        symmetrize_operator traced_permutation traced_permutation_sum
-        traced_symmetrizer uniform_sym_state""",
+    "symmetrizer": """SlotLayout WiringOperator WiringSum antisym_projector
+        bibiriffle_lower_bound biriffle_bruteforce biriffle_value isotypic_band_weight
+        isotypic_projector scenario_layout sym_projector symmetrize_operator
+        traced_permutation traced_permutation_sum traced_symmetrizer
+        uniform_sym_state""",
     "tensor": """DensityOperator LabeledSpace Operator PureState apply_slot_permutation
         haar_random_density haar_random_pure haar_random_pure_on identity kron
-        min_eigenvalue min_eigenvalue_vector partial_trace permutation_operator
-        power_space qubits space trace_with_permutation""",
+        partial_trace permutation_operator power_space qubits space
+        trace_with_permutation""",
 }
 
 
@@ -459,7 +477,7 @@ def test_lazy_package_exports_the_same_objects():
         for name in text.split():
             assert getattr(qrealize, name) is getattr(mod, name), name
             names.append(name)
-    assert len(names) == 120
+    assert len(names) == 117
     assert sorted(qrealize.__all__) == sorted(names)
     assert set(names) <= set(dir(qrealize))
     assert callable(qrealize.capacity)    # the function, not the submodule

@@ -201,7 +201,7 @@ def sym_ratio_oracle(pmat, qmat, n):
 
     def avg_trace(ops):
         k = len(ops)
-        pi = sym_projector(d, k).dense.mat
+        pi = sym_projector(d, k).mat
         big = ops[0]
         for o in ops[1:]:
             big = np.kron(big, o)

@@ -29,6 +29,7 @@ from qrealize.tensor import (
     haar_random_density,
     haar_random_pure_on,
     identity,
+    lanczos_min_eig,
     qubits,
     space,
 )
@@ -126,12 +127,19 @@ def test_hierarchy_violation_persists_at_level_two():
     assert cert.gap < -1e-3
 
 
+def _lanczos_gap(st, n):
+    """Lanczos on the matvec ``_min_gap`` builds for a hierarchy check."""
+    ws = qmp_mod._scenario_sum(st.scenario, n, BUDGET)
+    rho = st.product_matrix()
+    lam, _ = lanczos_min_eig(lambda v: ws.apply(v) - _apply_product_power(rho, n, v),
+                             st.scenario.kept_dim ** n)
+    return lam
+
+
 def test_hierarchy_methods_agree():
     psi = haar_random_pure_on(TRIPLE.joint, 8)
     st = marginals_of(psi, TRIPLE)
-    dense = hierarchy_check(st, 1, method="dense")
-    iterative = hierarchy_check(st, 1, method="iterative")
-    assert iterative.gap == pytest.approx(dense.gap, abs=1e-7)
+    assert _lanczos_gap(st, 1) == pytest.approx(hierarchy_check(st, 1).gap, abs=1e-7)
 
 
 CHAIN = scenario((("A", 2), ("B", 2), ("C", 2)), ("AB", "BC"))
@@ -180,7 +188,7 @@ def test_sector_split_gap_and_witness_match_full_eigh(name, n, v, seed):
     norm = np.linalg.norm(h, 2)
     want = np.linalg.eigh(h)[0][0]
     ws = qmp_mod._scenario_sum(scen, n, BUDGET, v)
-    gap, vec = qmp_mod._min_gap(ws, st.product_matrix(), n, method="dense",
+    gap, vec = qmp_mod._min_gap(ws, st.product_matrix(), n,
                                 lhs_scale=float(v) ** (n * scen.m))
     assert abs(gap - want) <= 1e-12 * norm
     assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-12)
@@ -191,7 +199,7 @@ def test_sector_split_witness_on_a_planted_chain_violation():
     mix = 0.7 * SINGLET_RHO + 0.3 * np.eye(4) / 4
     st = MProductState(CHAIN, (DensityOperator(Operator(qubits("A", "B"), mix)),
                                DensityOperator(Operator(qubits("B", "C"), mix))))
-    cert = hierarchy_check(st, 2, method="dense")
+    cert = hierarchy_check(st, 2)
     assert cert.verdict == VERDICT_VIOLATED
     h = _dense_h(CHAIN, st, 2)
     assert cert.gap == pytest.approx(np.linalg.eigvalsh(h)[0], abs=1e-12)
@@ -217,18 +225,48 @@ def test_sector_split_takes_a_non_contiguous_matrix():
 def test_hierarchy_methods_agree_at_level_two_on_the_chain():
     for seed in (8, 9):
         st = marginals_of(haar_random_pure_on(CHAIN.joint, seed), CHAIN)
-        dense = hierarchy_check(st, 2, method="dense")
-        iterative = hierarchy_check(st, 2, method="iterative")
-        assert iterative.gap == pytest.approx(dense.gap, abs=1e-7)
-        assert iterative.verdict == dense.verdict
+        cert = hierarchy_check(st, 2)
+        lam = _lanczos_gap(st, 2)
+        assert lam == pytest.approx(cert.gap, abs=1e-7)
+        assert (lam < -TOL.psd) == cert.violated
 
 
 def test_non_finite_lanczos_result_raises(monkeypatch):
     monkeypatch.setattr(qmp_mod, "lanczos_min_eig",
                         lambda apply_h, dim, **kw: (math.nan, np.zeros(dim)))
-    st = marginals_of(haar_random_pure_on(CHAIN.joint, 8), CHAIN)
+    st = marginals_of(haar_random_pure_on(TRIPLE.joint, 8), TRIPLE)
     with pytest.raises(ArithmeticError):
-        hierarchy_check(st, 1, method="iterative")
+        hierarchy_check(st, 2)
+
+
+def _count_calls(monkeypatch, name):
+    calls = []
+    fn = getattr(qmp_mod, name)
+
+    def counting(*args, **kw):
+        calls.append(1)
+        return fn(*args, **kw)
+
+    monkeypatch.setattr(qmp_mod, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize("scen,dense", [(CHAIN, True), (TRIPLE, False)],
+                         ids=["chain", "triangle"])
+def test_kept_dimension_alone_picks_the_eigensolver(monkeypatch, scen, dense):
+    """Kept dim 256 (chain, n = 2) solves densely; 4096 (triangle) runs Lanczos."""
+    lanczos = _count_calls(monkeypatch, "lanczos_min_eig")
+    sector = _count_calls(monkeypatch, "_sector_min_eig")
+    st = marginals_of(haar_random_pure_on(scen.joint, 8), scen)
+    hierarchy_check(st, 2)
+    ortho_bound_check(st, 2, 2)
+    assert (len(sector), len(lanczos)) == ((2, 0) if dense else (0, 2))
+
+
+def test_dense_eigensolve_cap_raises_below_the_switch():
+    st = marginals_of(haar_random_pure_on(CHAIN.joint, 8), CHAIN)
+    with pytest.raises(ResourceBudgetError, match="dense eigensolve dimension 256"):
+        hierarchy_check(st, 2, budget=BUDGET.with_(dense_eig_dim=100))
 
 
 @pytest.mark.parametrize("p,matvecs", [(0.55, 130), (0.8, 65)])
@@ -394,7 +432,7 @@ def test_subspace_check_with_full_projector_matches_hierarchy():
     psi = haar_random_pure_on(TRIPLE.joint, 5)
     st = marginals_of(psi, TRIPLE)
     full = identity(TRIPLE.joint)
-    a = hierarchy_check(st, 1, method="dense")
+    a = hierarchy_check(st, 1)
     b = subspace_hierarchy_check(st, full, 1)
     assert b.gap == pytest.approx(a.gap, abs=1e-9)
 
@@ -402,7 +440,7 @@ def test_subspace_check_with_full_projector_matches_hierarchy():
 @pytest.mark.parametrize("seed", [5, 6])
 def test_subspace_check_with_full_projector_matches_hierarchy_at_level_two(seed):
     st = marginals_of(haar_random_pure_on(PAIR.joint, seed), PAIR)
-    a = hierarchy_check(st, 2, method="dense")
+    a = hierarchy_check(st, 2)
     b = subspace_hierarchy_check(st, identity(PAIR.joint), 2)
     assert b.gap == pytest.approx(a.gap, abs=1e-9)
 

@@ -39,7 +39,7 @@ from qrealize.tensor import (
 
 def test_sym_projector_is_projector_with_right_trace():
     for d, k in [(2, 2), (2, 3), (3, 2)]:
-        p = sym_projector(d, k).dense.mat
+        p = sym_projector(d, k).mat
         assert np.allclose(p @ p, p)
         assert np.allclose(p, p.conj().T)
         assert np.trace(p).real == pytest.approx(math.comb(k + d - 1, k))
@@ -49,10 +49,10 @@ def test_sym_projector_fixes_symmetric_vectors():
     p = sym_projector(2, 3)
     v = np.zeros(8)
     v[0] = 1.0  # |000>
-    assert np.allclose(p.apply(v), v)
+    assert np.allclose(p.mat @ v, v)
     w = np.zeros(8)
     w[1] = 1.0  # |001>: projects onto the uniform weight-1 combination
-    pw = p.apply(w)
+    pw = p.mat @ w
     assert pw[1] == pytest.approx(1 / 3)
     assert pw[2] == pytest.approx(1 / 3)
     assert pw[4] == pytest.approx(1 / 3)
@@ -63,7 +63,7 @@ def test_antisym_projector_traces_and_orthogonality():
         a = antisym_projector(d, k).mat
         assert np.allclose(a @ a, a)
         assert np.trace(a).real == pytest.approx(math.comb(d, k))
-        s = sym_projector(d, k).dense.mat
+        s = sym_projector(d, k).mat
         if k > 1:
             assert np.allclose(s @ a, 0)
     # more slots than local dimension: nothing antisymmetric survives
@@ -93,7 +93,7 @@ def test_isotypic_projectors_resolve_identity():
 def test_isotypic_extremes_match_sym_and_antisym():
     d, n = 2, 3
     assert np.allclose(isotypic_projector(Partition((n,)), d, n).mat,
-                       sym_projector(d, n).dense.mat)
+                       sym_projector(d, n).mat)
     assert np.allclose(isotypic_projector(Partition((1,) * 2), d, 2).mat,
                        antisym_projector(d, 2).mat)
 
@@ -228,7 +228,8 @@ def random_sym_psd(rng, d, n):
 
 def test_symmetrize_without_dense_projector_raises_budget_error():
     # 2^8 = 256 fits the dense dimension cap, but 8! exceeds perms_dense
-    assert sym_projector(2, 8).dense is None
+    with pytest.raises(ResourceBudgetError, match="perms_dense"):
+        sym_projector(2, 8)
     x = np.eye(256)
     with pytest.raises(ResourceBudgetError):
         symmetrize_operator(x, 2)

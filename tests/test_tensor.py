@@ -16,8 +16,6 @@ from qrealize.tensor import (
     identity,
     kron,
     lanczos_min_eig,
-    min_eigenvalue,
-    min_eigenvalue_vector,
     partial_trace,
     permutation_operator,
     power_space,
@@ -224,21 +222,6 @@ def test_trace_with_permutation_multi_slot_blocks():
     want = np.trace(dense.mat @ np.kron(a, b))
     got = trace_with_permutation([a, b], (2, 2), perm, 2)
     assert got == pytest.approx(want)
-
-
-def test_min_eigenvalue_and_vector():
-    sp = space(("A", 3))
-    h = Operator(sp, np.diag([3.0, -1.0, 2.0]))
-    assert min_eigenvalue(h) == pytest.approx(-1.0)
-    lam, vec = min_eigenvalue_vector(h)
-    assert lam == pytest.approx(-1.0)
-    assert abs(vec[1]) == pytest.approx(1.0)
-
-
-def test_min_eigenvalue_rejects_non_hermitian():
-    op = Operator(space(("A", 2)), np.array([[0, 1], [0, 0]], dtype=complex))
-    with pytest.raises(ValueError):
-        min_eigenvalue(op)
 
 
 @pytest.mark.parametrize("dim", [16, 100, 257])
