@@ -311,9 +311,7 @@ def fixed_subspace_projector(rep_or_group, n: int, budget: Budgets = BUDGET) -> 
     if isinstance(rep_or_group, TorusRep):
         rep = rep_or_group
         d = rep.dim
-        if d ** n > budget.dense_dim:
-            raise ResourceBudgetError(
-                f"projector dimension {d}^{n} exceeds the dense budget {budget.dense_dim}")
+        budget.check_dense(d ** n, "fixed-subspace projector")
         wrows = rep.coordinate_weights()
         sums = np.zeros((1, rep.rank), dtype=np.int64)
         for _ in range(n):
@@ -332,9 +330,7 @@ def fixed_subspace_projector(rep_or_group, n: int, budget: Budgets = BUDGET) -> 
     for g, h in itertools.product(members, members):
         if not _match_member(g @ h, members):
             raise ValueError("matrix set is not closed under products")
-    if d ** n > budget.dense_dim:
-        raise ResourceBudgetError(
-            f"projector dimension {d}^{n} exceeds the dense budget {budget.dense_dim}")
+    budget.check_dense(d ** n, "fixed-subspace projector")
     total = np.zeros((d ** n, d ** n), dtype=np.complex128)
     for g in members:
         power = np.array([[1.0]], dtype=np.complex128)

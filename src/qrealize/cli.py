@@ -103,13 +103,17 @@ def _ints(text: str) -> list[int]:
 
 def _guard(fn):
     """Map library errors to exit codes: a ``ValueError`` is a usage error
-    (2), a ``ResourceBudgetError`` a budget stop (3)."""
+    (2); a ``ResourceBudgetError`` or a failed allocation is a budget stop (3)."""
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
         except ResourceBudgetError as exc:
             click.echo(f"resource budget exceeded: {exc}", err=True)
+            sys.exit(3)
+        except MemoryError as exc:
+            detail = str(exc) or "out of memory"
+            click.echo(f"resource budget exceeded: could not allocate ({detail})", err=True)
             sys.exit(3)
         except ValueError as exc:
             raise click.UsageError(str(exc))
@@ -169,8 +173,8 @@ def _emit_certificate(cert, out) -> None:
     _emit(dumps(cert.to_json(), indent=2) + "\n", out)
 
 
-_BUDGET_DIM_HELP = ("Cap on dense operator dimension. Sets dense_dim only; "
-                    "dense_eig_dim and matvec_dim keep their defaults.")
+_BUDGET_DIM_HELP = ("Cap on the dimension of every dense matrix built or diagonalised. "
+                    "Sets dense_dim; matvec_dim keeps its default.")
 _BUDGET_PERMS_HELP = ("Cap on the (level x contexts)! slot permutations a wiring sum "
                       "runs over. Sets perms_matrix_free.")
 

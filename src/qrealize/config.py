@@ -24,8 +24,7 @@ class Tolerances:
 
 @dataclass(frozen=True)
 class Budgets:
-    dense_dim: int = 2 ** 18        # hard cap on dense operator dimension
-    dense_eig_dim: int = 4096       # cap on dense eigensolves and sym/antisym/isotypic projectors
+    dense_dim: int = 4096           # cap on every dense matrix's dimension (268 MB complex128)
     perms_dense: int = 5040         # factorial cap for dense permutation sums
     perms_matrix_free: int = 500_000
     matvec_dim: int = 300_000       # practical matrix-free dimension
@@ -33,6 +32,12 @@ class Budgets:
 
     def with_(self, **kw) -> "Budgets":
         return replace(self, **kw)
+
+    def check_dense(self, dim: int, what: str) -> None:
+        """Raise ResourceBudgetError before a dense matrix above the cap is allocated."""
+        if dim > self.dense_dim:
+            raise ResourceBudgetError(
+                f"{what}: dimension {dim} exceeds cap dense_dim={self.dense_dim}")
 
 
 TOL = Tolerances()

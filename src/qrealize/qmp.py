@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .config import BUDGET, TOL, Budgets, ResourceBudgetError, Tolerances
+from .config import BUDGET, TOL, Budgets, Tolerances
 from .divergence import kl_divergence
 from .partitions import littlewood_richardson, partitions_of, \
     schur_polynomial, specht_dim, weyl_dim
@@ -283,8 +283,6 @@ def _min_gap(ws: WiringSum, rho_m: np.ndarray, n: int, *, budget: Budgets = BUDG
     if rho_m.shape[0] ** n != big:
         raise ValueError("product state dimension does not match the layout")
     if big <= _DENSE_EIG_FAST:
-        if big > budget.dense_eig_dim:
-            raise ResourceBudgetError(f"dense eigensolve dimension {big} exceeds cap")
         m = layout.nslots // n
         ctx_dims = [1] * m
         for (slot, _), d in zip(layout.axes, layout.axis_dims):
@@ -353,6 +351,8 @@ def hierarchy_check(state: MProductState, n: int, *, tol: Tolerances = TOL,
     and 2 (four blocks of 100, 60, 60 and 36 on the AB, BC chain at n = 2);
     larger ones run Lanczos.
     """
+    if n < 1:
+        raise ValueError(f"level n must be >= 1, got {n}")
     scen = state.scenario
     ws = _scenario_sum(scen, n, budget)
     gap, wvec = _min_gap(ws, state.product_matrix(), n, budget=budget)
@@ -368,6 +368,8 @@ def ortho_bound_check(state: MProductState, v: int, n: int, *, tol: Tolerances =
     over shapes with at most v rows; v = 1 reduces to hierarchy_check.  A
     violation rules out v orthogonal solutions (it does not rule out fewer).
     """
+    if n < 1:
+        raise ValueError(f"level n must be >= 1, got {n}")
     scen = state.scenario
     if not (1 <= v <= scen.d_joint):
         raise ValueError(f"orthogonal-solution count v={v} must be in 1..{scen.d_joint}")
@@ -387,6 +389,8 @@ def subspace_hierarchy_check(state: MProductState, p_v: Operator, n: int, *,
     range (the two projectors commute, so the product is that projector).
     Covers fermionic/bosonic joint spaces and rank-limited joint supports.
     """
+    if n < 1:
+        raise ValueError(f"level n must be >= 1, got {n}")
     scen = state.scenario
     if p_v.space.dims != scen.joint.dims:
         raise ValueError("projector must act on the scenario's joint register")
@@ -395,11 +399,8 @@ def subspace_hierarchy_check(state: MProductState, p_v: Operator, n: int, *,
     if np.max(np.abs(p_v.mat @ p_v.mat - p_v.mat)) > 1e-8:
         raise ValueError("p_v is not idempotent")
     nm = n * scen.m
-    d_j = scen.d_joint
-    if d_j ** nm > budget.dense_dim:
-        raise ResourceBudgetError(
-            f"joint power dimension {d_j ** nm} exceeds dense cap")
-    s = sym_projector(d_j, nm, budget).mat @ _kron_power(p_v.mat, nm)
+    # sym_projector checks dense_dim before _kron_power allocates the same size
+    s = sym_projector(scen.d_joint, nm, budget).mat @ _kron_power(p_v.mat, nm)
     big_space = power_space(scen.joint, nm)
     # wires: slot-major, joint label order inside each slot
     nlab = scen.joint.nslots

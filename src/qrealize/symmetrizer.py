@@ -59,11 +59,10 @@ def _permutation_sum(d: int, k: int, weight: Callable[[tuple[int, ...]], complex
                      budget: Budgets = BUDGET) -> np.ndarray:
     """Sum over all of S_k of weight(perm) T(perm) on (C^d)^{otimes k}, dense."""
     big = d ** k
-    if big > budget.dense_eig_dim or math.factorial(k) > budget.perms_dense:
-        raise ResourceBudgetError(
-            f"no dense permutation sum on {k} slots of C^{d} within the budget "
-            f"(dimension {big}, cap dense_eig_dim={budget.dense_eig_dim}; "
-            f"{k}! permutations, cap perms_dense={budget.perms_dense})")
+    budget.check_dense(big, f"dense permutation sum on {k} slots of C^{d}")
+    if math.factorial(k) > budget.perms_dense:
+        raise ResourceBudgetError(f"dense permutation sum on {k} slots: {k}! permutations "
+                                  f"exceed cap perms_dense={budget.perms_dense}")
     dims = (d,) * k
     col_multi = np.array(np.unravel_index(np.arange(big), dims))
     out = np.zeros((big, big), dtype=np.complex128)
@@ -393,8 +392,7 @@ class WiringSum:
 
     def to_matrix(self, budget: Budgets = BUDGET) -> np.ndarray:
         big = self.layout.out_dim
-        if big > budget.dense_dim:
-            raise ResourceBudgetError(f"dense wiring sum dimension {big} exceeds cap")
+        budget.check_dense(big, "dense wiring sum")
         order, blocks = self._compiled()
         out = np.zeros((big, big), dtype=np.complex128)
         lo = 0

@@ -97,17 +97,13 @@ class Operator:
 
     __slots__ = ("space", "mat")
 
-    def __init__(self, sp: LabeledSpace, mat: np.ndarray, *, budget: Budgets = BUDGET):
+    def __init__(self, sp: LabeledSpace, mat: np.ndarray):
         mat = np.asarray(mat, dtype=np.complex128)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError(f"operator matrix must be square, got {mat.shape}")
         if mat.shape[0] != sp.total_dim:
             raise ValueError(
                 f"matrix dimension {mat.shape[0]} != space dimension {sp.total_dim}"
-            )
-        if sp.total_dim > budget.dense_dim:
-            raise ResourceBudgetError(
-                f"dense operator dimension {sp.total_dim} exceeds cap {budget.dense_dim}"
             )
         object.__setattr__(self, "space", sp)
         object.__setattr__(self, "mat", _freeze(mat))
@@ -288,12 +284,11 @@ def permutation_operator(sp: LabeledSpace, perm: Sequence[int],
     k = len(perm)
     d = sp.total_dim
     big = power_space(sp, k)
-    if d ** k > budget.dense_dim:
-        raise ResourceBudgetError(f"permutation operator dimension {d ** k} exceeds cap")
+    budget.check_dense(d ** k, "permutation operator")
     eye = np.eye(d ** k).reshape((d,) * (2 * k))
     axes = _perm_inverse(perm) + list(range(k, 2 * k))
     mat = eye.transpose(axes).reshape(d ** k, d ** k)
-    return Operator(big, mat, budget=budget)
+    return Operator(big, mat)
 
 
 def apply_slot_permutation(vec: np.ndarray, dims: Sequence[int], perm: Sequence[int]) -> np.ndarray:

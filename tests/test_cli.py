@@ -55,8 +55,9 @@ def test_budget_dim_help_names_the_one_budget_it_sets(runner, command):
     res = runner.invoke(main, ["qmp", command, "--help"])
     assert res.exit_code == 0
     text = " ".join(res.output.split())
-    assert "--budget-dim" in text and "Sets dense_dim only" in text
-    assert "dense_eig_dim and matvec_dim keep their defaults" in text
+    assert "--budget-dim" in text and "every dense matrix" in text
+    assert "Sets dense_dim; matvec_dim keeps its default" in text
+    assert "dense_eig_dim" not in text
 
 
 @pytest.mark.parametrize("command", ["check", "ortho"])
@@ -72,7 +73,8 @@ def test_show_config_lists_defaults(runner):
     doc = json.loads(res.output)
     assert doc["env_prefix"] == "QREALIZE"
     assert doc["tolerances"]["psd"] == 1e-9
-    assert doc["budgets"]["dense_eig_dim"] == 4096
+    assert doc["budgets"]["dense_dim"] == 4096
+    assert "dense_eig_dim" not in doc["budgets"]
 
 
 def test_witness3_on_singlets_prints_value_and_exits_1(runner, tmp_path):
@@ -303,8 +305,10 @@ def test_capacity_command(runner, tmp_path):
     (["toy-xz", "-m", "0"], "m must be >= 1"),
     (["spectral-dist", "--spec", "0.5,0.5", "-n", "-1"], "need n >= 0"),
     (["qmp", "ortho", "AB", "AC", "BC", "--rank", "0"], "orthogonal-solution count v=0"),
-    (["qmp", "check", "AB", "AC", "BC", "--level", "0"], "need n >= 0"),
-], ids=["toy-xz-exact", "toy-xz", "spectral-dist", "qmp-ortho", "qmp-check"])
+    (["qmp", "check", "AB", "AC", "BC", "--level", "0"], "level n must be >= 1, got 0"),
+    (["qmp", "ortho", "AB", "AC", "BC", "--rank", "1", "--level", "0"],
+     "level n must be >= 1, got 0"),
+], ids=["toy-xz-exact", "toy-xz", "spectral-dist", "qmp-ortho", "qmp-check", "qmp-ortho-level"])
 def test_library_value_error_is_a_usage_error(tmp_path, args, message):
     """Exit 1 means a certified violation; a rejected input exits 2."""
     args = [_singlet_pair(tmp_path / f"{a}.json", *a) if a in ("AB", "AC", "BC") else a
@@ -314,6 +318,21 @@ def test_library_value_error_is_a_usage_error(tmp_path, args, message):
     assert message in proc.stderr
     assert "Traceback" not in proc.stderr
     assert proc.stdout == ""
+
+
+def test_failed_allocation_is_a_budget_stop(runner, monkeypatch):
+    """A MemoryError exits 3 like a budget cap, not 1 (the VIOLATED code)."""
+    import qrealize.toy_xz
+
+    def exhausted(m):
+        raise MemoryError("Unable to allocate 1.00 TiB")
+
+    monkeypatch.setattr(qrealize.toy_xz, "toy_xz_exact_bounds", exhausted)
+    res = runner.invoke(main, ["toy-xz", "--exact", "-m", "2"])
+    assert res.exit_code == 3
+    assert "resource budget exceeded: could not allocate (Unable to allocate 1.00 TiB)" \
+        in res.output
+    assert "Traceback" not in res.output
 
 
 def test_budget_exhaustion_exits_3(runner, tmp_path):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from qrealize import qmp as qmp_mod
+from qrealize.capacity import fixed_subspace_projector, torus_rep
 from qrealize.config import BUDGET, TOL, ResourceBudgetError
 from qrealize.qmp import (
     VERDICT_CONSISTENT,
@@ -21,7 +22,7 @@ from qrealize.qmp import (
     three_qubit_witness,
 )
 from qrealize.qmp import _apply_product_power, _kron_power
-from qrealize.symmetrizer import traced_symmetrizer
+from qrealize.symmetrizer import sym_projector, traced_symmetrizer
 from qrealize.tensor import (
     DensityOperator,
     Operator,
@@ -30,6 +31,7 @@ from qrealize.tensor import (
     haar_random_pure_on,
     identity,
     lanczos_min_eig,
+    permutation_operator,
     qubits,
     space,
 )
@@ -265,8 +267,44 @@ def test_kept_dimension_alone_picks_the_eigensolver(monkeypatch, scen, dense):
 
 def test_dense_eigensolve_cap_raises_below_the_switch():
     st = marginals_of(haar_random_pure_on(CHAIN.joint, 8), CHAIN)
-    with pytest.raises(ResourceBudgetError, match="dense eigensolve dimension 256"):
-        hierarchy_check(st, 2, budget=BUDGET.with_(dense_eig_dim=100))
+    with pytest.raises(ResourceBudgetError,
+                       match="dense wiring sum: dimension 256 exceeds cap dense_dim=100"):
+        hierarchy_check(st, 2, budget=BUDGET.with_(dense_dim=100))
+
+
+_TINY = BUDGET.with_(dense_dim=3)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: sym_projector(2, 2, _TINY),
+    lambda: permutation_operator(space(("Q", 2)), (1, 0), _TINY),
+    lambda: traced_symmetrizer(TRIPLE.joint.labels, TRIPLE.contexts, 1).to_matrix(_TINY),
+    lambda: fixed_subspace_projector(torus_rep([(1,), (-1,)]), 2, _TINY),
+    lambda: hierarchy_check(marginals_of(haar_random_pure_on(CHAIN.joint, 8), CHAIN), 2,
+                            budget=_TINY),
+    lambda: subspace_hierarchy_check(triple_product(np.eye(4) / 4), identity(TRIPLE.joint), 1,
+                                     budget=_TINY),
+], ids=["sym_projector", "permutation_operator", "to_matrix", "fixed_subspace_projector",
+        "hierarchy_check-chain-n2", "subspace_hierarchy_check"])
+def test_every_dense_path_checks_the_one_dense_cap(build):
+    with pytest.raises(ResourceBudgetError, match="exceeds cap dense_dim=3"):
+        build()
+
+
+@pytest.mark.parametrize("n", [0, -1])
+@pytest.mark.parametrize("check", [
+    lambda st, n: hierarchy_check(st, n),
+    lambda st, n: ortho_bound_check(st, 2, n),
+    lambda st, n: subspace_hierarchy_check(st, identity(TRIPLE.joint), n),
+], ids=["hierarchy_check", "ortho_bound_check", "subspace_hierarchy_check"])
+def test_level_below_one_is_rejected_at_entry(monkeypatch, check, n):
+    def no_work(*args, **kwargs):
+        raise AssertionError("ran before the level was checked")
+
+    monkeypatch.setattr(qmp_mod, "_scenario_sum", no_work)
+    monkeypatch.setattr(qmp_mod, "sym_projector", no_work)
+    with pytest.raises(ValueError, match=f"level n must be >= 1, got {n}"):
+        check(triple_product(SINGLET_RHO), n)
 
 
 @pytest.mark.parametrize("p,matvecs", [(0.55, 130), (0.8, 65)])

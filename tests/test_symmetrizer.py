@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from qrealize.config import ResourceBudgetError
+from qrealize.config import BUDGET, ResourceBudgetError
 from qrealize.partitions import Partition, double_cosets, partitions_of
 from qrealize.symmetrizer import (
     SlotLayout,
@@ -224,6 +224,14 @@ def random_sym_psd(rng, d, n):
     m = rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size))
     m = m @ m.conj().T
     return symmetrize_operator(m, d)
+
+
+def test_sym_projector_follows_dense_dim():
+    # two slots of C^65 span dimension 4225, above the default cap of 4096
+    with pytest.raises(ResourceBudgetError, match="dimension 4225 exceeds cap dense_dim=4096"):
+        sym_projector(65, 2)
+    p = sym_projector(65, 2, budget=BUDGET.with_(dense_dim=65 ** 2))
+    assert p.trace().real == pytest.approx(math.comb(66, 2))     # 2145
 
 
 def test_symmetrize_without_dense_projector_raises_budget_error():
