@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Sequence
 
 import numpy as np
@@ -160,6 +160,12 @@ class RealizabilityCertificate:
 # Shared eigen-gap machinery
 
 
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.kron for two matrices, as one broadcast product."""
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(
+        a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
+
+
 def _kron_power(mat: np.ndarray, n: int) -> np.ndarray:
     out = mat
     for _ in range(n - 1):
@@ -192,7 +198,9 @@ def _swap_sectors(ctx_dims: tuple[int, ...], n: int) -> tuple[tuple, tuple, np.n
     ``_pair_sweep`` applies the unnormalised change of basis, and ``scale``
     (2^(-k/2), k the number of contexts whose digits differ) normalises it.
     ``sectors`` lists the index sets of equal swap eigenvalues in every
-    context, all-symmetric first; at n = 1 there is one sector."""
+    context, all-symmetric first; at n = 1 there is one sector.  The blocks
+    P h P^T on these sectors come from ``_swap_blocks`` for a formed matrix
+    and from ``_power_blocks`` for a product power."""
     m = len(ctx_dims)
     slot_dims = ctx_dims * n
     big = math.prod(slot_dims)
@@ -216,6 +224,53 @@ def _swap_sectors(ctx_dims: tuple[int, ...], n: int) -> tuple[tuple, tuple, np.n
     return tuple(views), sectors, scale
 
 
+@lru_cache(maxsize=32)
+def _sector_kron_order(ctx_dims: tuple[int, ...], n: int
+                       ) -> tuple[tuple[np.ndarray, ...], tuple[int, ...], tuple]:
+    """(bases, nsym, orders) for assembling the sector blocks of a product
+    operator from per-context pieces (n >= 2; see ``_power_blocks``).
+
+    ``bases[i]`` is the real orthogonal change of basis of
+    ``_swap_sectors`` on the two copies of context i (index a*d + b): first
+    the ``nsym[i]`` symmetric rows, for the indices a <= b in order, then the
+    antisymmetric rows, for a > b in order.  ``orders`` holds, for each
+    sector of ``_swap_sectors``, its per-context choice (0 symmetric, 1
+    antisymmetric) and the position of each of its indices in the Kronecker
+    product of the chosen per-context blocks with copies 3..n."""
+    m = len(ctx_dims)
+    slot_dims = ctx_dims * n
+    rest = math.prod(ctx_dims) ** (n - 2)
+    bases, nsym, ranks = [], [], []
+    for d in ctx_dims:
+        a, b = np.divmod(np.arange(d * d), d)
+        rows = np.concatenate([np.flatnonzero(a <= b), np.flatnonzero(a > b)])
+        a, b = a[rows], b[rows]
+        # row for index (a, b): e_ab + e_ba if a <= b, e_ab - e_ba if a > b
+        basis = np.zeros((d * d, d * d))
+        basis[np.arange(d * d), b * d + a] = np.where(a > b, -1.0, 1.0)
+        basis[np.arange(d * d), rows] = 1.0
+        basis[a != b] /= math.sqrt(2.0)
+        k = int(np.count_nonzero(a <= b))
+        rank = np.empty(d * d, dtype=np.int64)
+        rank[rows] = np.concatenate([np.arange(k), np.arange(d * d - k)])
+        basis.setflags(write=False)
+        bases.append(basis)
+        nsym.append(k)
+        ranks.append(rank)
+    orders = []
+    for idx in _swap_sectors(ctx_dims, n)[1]:
+        digits = np.unravel_index(idx, slot_dims)
+        choice = tuple(int(digits[i][0] > digits[m + i][0]) for i in range(m))
+        pos = np.zeros(idx.size, dtype=np.int64)
+        for i, d in enumerate(ctx_dims):
+            size = d * d - nsym[i] if choice[i] else nsym[i]
+            pos = pos * size + ranks[i][digits[i] * d + digits[m + i]]
+        pos = pos * rest + idx % rest
+        pos.setflags(write=False)
+        orders.append((choice, pos))
+    return tuple(bases), tuple(nsym), tuple(orders)
+
+
 def _pair_sweep(x: np.ndarray, views, back: bool = False) -> None:
     """In place along the leading (kept) axis of ``x``: for each context and
     digit pair a < b, (x_ab, x_ba) <- (x_ab + x_ba, x_ba - x_ab), or the
@@ -232,35 +287,68 @@ def _pair_sweep(x: np.ndarray, views, back: bool = False) -> None:
             u += v
 
 
-def _sector_min_eig(h: np.ndarray, ctx_dims: tuple[int, ...], n: int
-                    ) -> tuple[float, np.ndarray]:
-    """Smallest eigenpair of a Hermitian ``h`` on the kept space of n copies
-    that commutes with the swap of copies 1 and 2 inside each context.
-
-    ``h`` is split by those swaps (see ``_swap_sectors``) into up to 2^m
-    diagonal blocks; the block with the smallest eigenvalue goes to ``eigh``
-    and only its bottom eigenvector is mapped back.  With one sector (n = 1)
-    this is plain ``eigh``.  ``h`` may be overwritten."""
+def _swap_blocks(h: np.ndarray, ctx_dims: tuple[int, ...], n: int) -> list[np.ndarray]:
+    """The diagonal blocks P h P^T of a Hermitian ``h`` on the kept space of
+    n copies, P the normalised change of basis of ``_swap_sectors``, one per
+    sector and Hermitian-averaged.  ``h`` may be overwritten."""
     views, sectors, scale = _swap_sectors(ctx_dims, n)
-    h = np.ascontiguousarray(h)  # _pair_sweep works through reshaped views
+    h = np.require(h, requirements="CW")  # _pair_sweep works in place on reshaped views
     if len(sectors) == 1:
-        w, v = np.linalg.eigh((h + h.conj().T) / 2)
-        return float(w[0]), v[:, 0]
-    # rows, then rows of the transpose: for Hermitian h that is the complex
-    # conjugate of P h P^T, so the block eigenvector comes back conjugated
+        return [(h + h.conj().T) / 2]
+    # rows, then rows of the conjugate transpose: P h^H P^T = P h P^T
     _pair_sweep(h, views)
-    h = h.T.copy()
+    h = h.conj().T.copy()
     _pair_sweep(h, views)
     blocks = []
     for idx in sectors:
         s = scale[idx]
-        blk = h[idx][:, idx]
+        blk = h[np.ix_(idx, idx)]
         blocks.append((blk + blk.conj().T) * (0.5 * np.outer(s, s)))
-    # eigenvalues pick the sector; only that block pays for eigenvectors
-    k = int(np.argmin([np.linalg.eigvalsh(b)[0] for b in blocks]))
+    return blocks
+
+
+def _power_blocks(mats: Sequence[np.ndarray], ctx_dims: tuple[int, ...], n: int
+                  ) -> list[np.ndarray]:
+    """The blocks ``_swap_blocks`` takes from rho^{x n}, rho = mats[0] x ...
+    x mats[m-1], built without forming rho^{x n}.
+
+    The swap of copies 1 and 2 of context i acts on rho_i x rho_i only, so
+    each sector block is the Kronecker product of one block of
+    R_i (rho_i x rho_i) R_i^T per context (R_i from ``_sector_kron_order``)
+    with rho^{x (n-2)} for copies 3..n, reordered to slot-major.  Each
+    factor is Hermitian-averaged, so every block is exactly Hermitian."""
+    mats = [(a + a.conj().T) / 2 for a in mats]
+    if n == 1:
+        return [reduce(_kron, mats)]
+    bases, nsym, orders = _sector_kron_order(ctx_dims, n)
+    pairs = []
+    for a, basis, k in zip(mats, bases, nsym):
+        y = basis @ _kron(a, a) @ basis.T
+        y = (y + y.conj().T) / 2
+        pairs.append((y[:k, :k], y[k:, k:]))
+    rest = [_kron_power(reduce(_kron, mats), n - 2)] if n > 2 else []
+    blocks = []
+    for choice, pos in orders:
+        blk = reduce(_kron, [pair[c] for pair, c in zip(pairs, choice)] + rest)
+        blocks.append(blk[np.ix_(pos, pos)])
+    return blocks
+
+
+def _sector_min_eig(blocks: Sequence[np.ndarray], ctx_dims: tuple[int, ...], n: int
+                    ) -> tuple[float, np.ndarray]:
+    """Smallest eigenpair of a Hermitian operator on the kept space of n
+    copies, given as its sector blocks (``_swap_blocks``, ``_power_blocks``).
+
+    Eigenvalues pick the block with the smallest one; only that block goes
+    to ``eigh``, and its bottom eigenvector y is mapped back as P^T y.  With
+    one sector (n = 1) this is plain ``eigh``."""
+    views, sectors, scale = _swap_sectors(ctx_dims, n)
+    k = 0
+    if len(blocks) > 1:
+        k = int(np.argmin([np.linalg.eigvalsh(b)[0] for b in blocks]))
     w, v = np.linalg.eigh(blocks[k])
-    vec = np.zeros(h.shape[0], dtype=np.complex128)
-    vec[sectors[k]] = v[:, 0].conj() * scale[sectors[k]]
+    vec = np.zeros(scale.size, dtype=np.complex128)
+    vec[sectors[k]] = v[:, 0] * scale[sectors[k]]
     _pair_sweep(vec, views, back=True)
     return float(w[0]), vec
 
@@ -268,29 +356,37 @@ def _sector_min_eig(h: np.ndarray, ctx_dims: tuple[int, ...], n: int
 _DENSE_EIG_FAST = 1024  # LAPACK up to this kept dimension, Lanczos above
 
 
-def _min_gap(ws: WiringSum, rho_m: np.ndarray, n: int, *, budget: Budgets = BUDGET,
-             lhs_scale: float = 1.0) -> tuple[float, np.ndarray]:
-    """Smallest eigenvalue (and eigenvector) of RHS - lhs_scale * rho_m^{x n}.
+def _min_gap(ws: WiringSum, mats: Sequence[np.ndarray], n: int, *,
+             budget: Budgets = BUDGET, lhs_scale: float = 1.0) -> tuple[float, np.ndarray]:
+    """Smallest eigenvalue (and eigenvector) of RHS - lhs_scale * rho^{x n},
+    rho = mats[0] x ... x mats[m-1], one matrix per context.
 
     ``ws`` is a scenario sum (slot t*m + i keeps context i).  Kept dimensions
-    up to ``_DENSE_EIG_FAST`` solve densely: the matrix is split into the
-    sectors of the per-context swap of copies 1 and 2, which commutes with
-    both terms, and the blocks go to LAPACK (see ``_sector_min_eig``); above
-    that, Lanczos runs on the full kept space.  A non-finite Lanczos result
-    raises ``ArithmeticError``."""
+    up to ``_DENSE_EIG_FAST`` solve densely: both terms commute with the
+    per-context swap of copies 1 and 2, so the RHS is split into the swap
+    sectors (``_swap_blocks``), the product power's blocks are built from
+    per-context pieces (``_power_blocks``) and the differences go to LAPACK
+    (``_sector_min_eig``); rho^{x n} is never formed.  Above that, Lanczos
+    runs on the full kept space.  A non-finite Lanczos result raises
+    ``ArithmeticError``."""
     layout = ws.layout
     big = layout.out_dim
-    if rho_m.shape[0] ** n != big:
-        raise ValueError("product state dimension does not match the layout")
+    m = layout.nslots // n
+    ctx_dims = [1] * m
+    for (slot, _), d in zip(layout.axes, layout.axis_dims):
+        if slot < m:
+            ctx_dims[slot] *= d
+    ctx_dims = tuple(ctx_dims)
+    if tuple(a.shape[0] for a in mats) != ctx_dims:
+        raise ValueError("context matrix dimensions do not match the layout")
     if big <= _DENSE_EIG_FAST:
-        m = layout.nslots // n
-        ctx_dims = [1] * m
-        for (slot, _), d in zip(layout.axes, layout.axis_dims):
-            if slot < m:
-                ctx_dims[slot] *= d
-        h = ws.to_matrix(budget)
-        h -= lhs_scale * _kron_power(rho_m, n)
-        return _sector_min_eig(h, tuple(ctx_dims), n)
+        blocks = _power_blocks(mats, ctx_dims, n)
+        for rhs, blk in zip(_swap_blocks(ws.to_matrix(budget), ctx_dims, n), blocks):
+            blk *= -lhs_scale
+            blk += rhs
+        return _sector_min_eig(blocks, ctx_dims, n)
+
+    rho_m = reduce(np.kron, mats)
 
     def matvec(v):
         out = ws.apply(v)
@@ -348,14 +444,15 @@ def hierarchy_check(state: MProductState, n: int, *, tol: Tolerances = TOL,
     that no joint pure state has these marginals; a non-negative gap only
     rules nothing out at this level.  Kept dimensions up to 1024 solve
     densely, one LAPACK block per sector of the per-context swap of copies 1
-    and 2 (four blocks of 100, 60, 60 and 36 on the AB, BC chain at n = 2);
+    and 2 (four blocks of 100, 60, 60 and 36 on the AB, BC chain at n = 2),
+    with the tensor power's blocks built from per-context two-copy factors;
     larger ones run Lanczos.
     """
     if n < 1:
         raise ValueError(f"level n must be >= 1, got {n}")
     scen = state.scenario
     ws = _scenario_sum(scen, n, budget)
-    gap, wvec = _min_gap(ws, state.product_matrix(), n, budget=budget)
+    gap, wvec = _min_gap(ws, [rho.mat for rho in state.marginals], n, budget=budget)
     return _certificate(gap, wvec, n, scen, tol)
 
 
@@ -374,7 +471,7 @@ def ortho_bound_check(state: MProductState, v: int, n: int, *, tol: Tolerances =
     if not (1 <= v <= scen.d_joint):
         raise ValueError(f"orthogonal-solution count v={v} must be in 1..{scen.d_joint}")
     ws = _scenario_sum(scen, n, budget, v)
-    gap, wvec = _min_gap(ws, state.product_matrix(), n, budget=budget,
+    gap, wvec = _min_gap(ws, [rho.mat for rho in state.marginals], n, budget=budget,
                          lhs_scale=float(v) ** (n * scen.m))
     return _certificate(gap, wvec, n, scen, tol)
 
@@ -410,9 +507,10 @@ def subspace_hierarchy_check(state: MProductState, p_v: Operator, n: int, *,
         for j, x in enumerate(scen.joint.names):
             if x not in ctx:
                 drop.append(slot * nlab + j)
-    h = partial_trace(Operator(big_space, s), drop).mat - _kron_power(state.product_matrix(), n)
     ctx_dims = tuple(scen.context_space(i).total_dim for i in range(scen.m))
-    gap, wvec = _sector_min_eig(h, ctx_dims, n)
+    rhs = _swap_blocks(partial_trace(Operator(big_space, s), drop).mat, ctx_dims, n)
+    lhs = _power_blocks([rho.mat for rho in state.marginals], ctx_dims, n)
+    gap, wvec = _sector_min_eig([r - p for r, p in zip(rhs, lhs)], ctx_dims, n)
     return _certificate(gap, wvec, n, scen, tol)
 
 

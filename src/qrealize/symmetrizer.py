@@ -23,6 +23,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -167,9 +168,10 @@ class SlotLayout:
     def kept_by_label(self) -> dict[str, frozenset]:
         return {x: frozenset(slots) for x, slots in self.kept}
 
-    @property
+    @cached_property
     def axes(self) -> list[tuple[int, str]]:
-        """Kept wires as (slot, label), slot-major."""
+        """Kept wires as (slot, label), slot-major.  Computed once, as are
+        ``axis_dims`` and ``out_dim``; treat the list as read-only."""
         per_slot: dict[int, list[str]] = {s: [] for s in range(self.nslots)}
         for x, slots in self.kept:
             for s in slots:
@@ -181,12 +183,12 @@ class SlotLayout:
                 out.append((s, x))
         return out
 
-    @property
+    @cached_property
     def axis_dims(self) -> tuple[int, ...]:
         dd = self.dim_by_label
         return tuple(dd[x] for _, x in self.axes)
 
-    @property
+    @cached_property
     def out_dim(self) -> int:
         return math.prod(self.axis_dims)
 
@@ -296,8 +298,10 @@ class WiringSum:
     that block form: a permutation ``order`` of the kept-space indices that
     groups them by block size, then by sector, and one stacked
     ``(count, k, k)`` float64 array per block size k.  A matvec is then one
-    gather, one real matmul per block size and one scatter.  ``add`` drops
-    the compiled form; mutate the sum through ``add`` only.
+    gather, one real matmul per block size and one scatter.  ``to_matrix``
+    returns the sum as a float64 matrix: every coefficient and every entry
+    of a permutation is real.  ``add`` drops the compiled form; mutate the
+    sum through ``add`` only.
     """
 
     def __init__(self, layout: SlotLayout):
@@ -394,7 +398,7 @@ class WiringSum:
         big = self.layout.out_dim
         budget.check_dense(big, "dense wiring sum")
         order, blocks = self._compiled()
-        out = np.zeros((big, big), dtype=np.complex128)
+        out = np.zeros((big, big))
         lo = 0
         for b in blocks:
             count, k, _ = b.shape

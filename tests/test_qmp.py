@@ -178,19 +178,38 @@ def test_h_commutes_with_each_per_context_copy_swap(name, v):
         assert np.abs(h[np.ix_(swap, swap)] - h).max() <= 1e-13
 
 
-@pytest.mark.parametrize("name,n,v", [
+def _planted_chain(p):
+    """p * singlet + (1 - p) * I/4 on both chain contexts."""
+    mix = p * SINGLET_RHO + (1 - p) * np.eye(4) / 4
+    return MProductState(CHAIN, (DensityOperator(Operator(qubits("A", "B"), mix)),
+                                 DensityOperator(Operator(qubits("B", "C"), mix))))
+
+
+def _sector_input(name, source):
+    """Haar marginals for an int seed; the planted chain for a float p."""
+    if isinstance(source, float):
+        return _planted_chain(source)
+    scen = SCENARIOS[name]
+    return marginals_of(haar_random_pure_on(scen.joint, source), scen)
+
+
+_HAAR_SECTOR_CASES = [
     ("chain", 1, 1), ("chain", 2, 1), ("chain", 2, 2), ("qutrit", 1, 1), ("qutrit", 2, 1),
     ("qutrit", 2, 2), ("triangle", 1, 1), ("pair", 3, 1), ("pair", 3, 2),
-])
-@pytest.mark.parametrize("seed", [3, 11])
-def test_sector_split_gap_and_witness_match_full_eigh(name, n, v, seed):
+]
+
+
+@pytest.mark.parametrize("source,name,n,v", [
+    (seed, *case) for seed in (3, 11) for case in _HAAR_SECTOR_CASES
+] + [(0.7, "chain", 2, 1), (0.7, "chain", 2, 2)])
+def test_sector_split_gap_and_witness_match_full_eigh(source, name, n, v):
     scen = SCENARIOS[name]
-    st = marginals_of(haar_random_pure_on(scen.joint, seed), scen)
+    st = _sector_input(name, source)
     h = _dense_h(scen, st, n, v)
     norm = np.linalg.norm(h, 2)
     want = np.linalg.eigh(h)[0][0]
     ws = qmp_mod._scenario_sum(scen, n, BUDGET, v)
-    gap, vec = qmp_mod._min_gap(ws, st.product_matrix(), n,
+    gap, vec = qmp_mod._min_gap(ws, [rho.mat for rho in st.marginals], n,
                                 lhs_scale=float(v) ** (n * scen.m))
     assert abs(gap - want) <= 1e-12 * norm
     assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-12)
@@ -198,9 +217,7 @@ def test_sector_split_gap_and_witness_match_full_eigh(name, n, v, seed):
 
 
 def test_sector_split_witness_on_a_planted_chain_violation():
-    mix = 0.7 * SINGLET_RHO + 0.3 * np.eye(4) / 4
-    st = MProductState(CHAIN, (DensityOperator(Operator(qubits("A", "B"), mix)),
-                               DensityOperator(Operator(qubits("B", "C"), mix))))
+    st = _planted_chain(0.7)
     cert = hierarchy_check(st, 2)
     assert cert.verdict == VERDICT_VIOLATED
     h = _dense_h(CHAIN, st, 2)
@@ -219,9 +236,52 @@ def test_sector_count_and_sizes_on_the_chain():
 def test_sector_split_takes_a_non_contiguous_matrix():
     st = marginals_of(haar_random_pure_on(CHAIN.joint, 4), CHAIN)
     h = _dense_h(CHAIN, st, 2, v=2)
-    gap, vec = qmp_mod._sector_min_eig(np.asfortranarray(h), (4, 4), 2)
+    blocks = qmp_mod._swap_blocks(np.asfortranarray(h), (4, 4), 2)
+    gap, vec = qmp_mod._sector_min_eig(blocks, (4, 4), 2)
     assert gap == pytest.approx(np.linalg.eigvalsh(h)[0], abs=1e-12)
     assert np.linalg.norm(h @ vec - gap * vec) < 1e-12
+
+
+@pytest.mark.parametrize("name,n", [("chain", 2), ("qutrit", 2), ("pair", 3), ("triangle", 1)])
+def test_power_blocks_match_the_split_of_the_formed_power(name, n):
+    scen = SCENARIOS[name]
+    st = marginals_of(haar_random_pure_on(scen.joint, 5), scen)
+    ctx_dims = tuple(scen.context_space(i).total_dim for i in range(scen.m))
+    want = qmp_mod._swap_blocks(_kron_power(st.product_matrix(), n), ctx_dims, n)
+    got = qmp_mod._power_blocks([rho.mat for rho in st.marginals], ctx_dims, n)
+    assert [b.shape for b in got] == [b.shape for b in want]
+    for g, w in zip(got, want):
+        assert np.abs(g - w).max() <= 1e-14
+        assert np.array_equal(g, g.conj().T)
+
+
+def _forbid_product_power(monkeypatch, st):
+    """Make ``_kron_power`` raise when it is handed the product state."""
+    product = st.product_matrix()
+    kron_power = qmp_mod._kron_power
+
+    def guarded(mat, n):
+        if mat.shape == product.shape and np.allclose(mat, product):
+            raise AssertionError("the product state's tensor power was formed")
+        return kron_power(mat, n)
+
+    monkeypatch.setattr(qmp_mod, "_kron_power", guarded)
+
+
+def test_dense_checks_never_form_the_product_power(monkeypatch):
+    st = marginals_of(haar_random_pure_on(CHAIN.joint, 8), CHAIN)
+    want = (hierarchy_check(st, 2).gap, ortho_bound_check(st, 2, 2).gap)
+    _forbid_product_power(monkeypatch, st)
+    assert (hierarchy_check(st, 2).gap, ortho_bound_check(st, 2, 2).gap) == want
+
+
+@pytest.mark.parametrize("name,n", [("chain", 1), ("pair", 2)])
+def test_subspace_check_never_forms_the_product_power(monkeypatch, name, n):
+    scen = SCENARIOS[name]
+    st = marginals_of(haar_random_pure_on(scen.joint, 8), scen)
+    _forbid_product_power(monkeypatch, st)
+    cert = subspace_hierarchy_check(st, identity(scen.joint), n)
+    assert cert.gap == pytest.approx(hierarchy_check(st, n).gap, abs=1e-12)
 
 
 def test_hierarchy_methods_agree_at_level_two_on_the_chain():

@@ -356,7 +356,7 @@ def test_compiled_to_matrix_matches_term_by_term_sum(scen, n):
     for ws in _wiring_sums(scen, n):
         want = _term_by_term_matrix(ws)
         got = ws.to_matrix()
-        assert got.dtype == np.complex128
+        assert got.dtype == np.float64
         assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
 
 
