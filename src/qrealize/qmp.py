@@ -185,125 +185,93 @@ def _apply_product_power(mat: np.ndarray, n: int, vec: np.ndarray) -> np.ndarray
 
 
 @lru_cache(maxsize=32)
-def _swap_sectors(ctx_dims: tuple[int, ...], n: int) -> tuple[tuple, tuple, np.ndarray]:
-    """(views, sectors, scale) splitting the kept space of n copies of the
+def _swap_order(ctx_dims: tuple[int, ...], n: int) -> tuple[np.ndarray, tuple, tuple]:
+    """(order, pairs, sectors) splitting the kept space of n copies of the
     contexts by the swap of copies 1 and 2 inside each context.
 
     The kept index is slot-major over slots t*m + i of dimension
     ``ctx_dims[i]``; context i's two copy digits are those of slots i and
-    m + i, and ``views`` holds (pre, d, mid) so that reshaping to
-    (pre, d, mid, d, -1) exposes them.  The swap's +-1 eigenspaces have the
-    real basis e_aa, (e_ab + e_ba)/sqrt2 and (e_ba - e_ab)/sqrt2 (a < b): the
-    symmetric vector takes index (a, b), the antisymmetric one (b, a).
-    ``_pair_sweep`` applies the unnormalised change of basis, and ``scale``
-    (2^(-k/2), k the number of contexts whose digits differ) normalises it.
-    ``sectors`` lists the index sets of equal swap eigenvalues in every
-    context, all-symmetric first; at n = 1 there is one sector.  The blocks
-    P h P^T on these sectors come from ``_swap_blocks`` for a formed matrix
-    and from ``_power_blocks`` for a product power."""
+    m + i.  ``order`` gathers the kept indices context by context: context
+    i's digit pairs run (a, a), then (a, b) for a < b, then (b, a) in the
+    same order, and copies 3..n come last.  ``pairs[i]`` is
+    (d, d(d+1)/2) for context i: once ``_pair_butterfly`` has taken
+    (e_ab, e_ba) to (e_ab + e_ba, e_ba - e_ab)/sqrt2, the first d(d+1)/2
+    pairs span the swap's +1 eigenspace and the rest its -1 eigenspace.
+    ``sectors`` lists, all-symmetric first, each sector's per-context choice
+    (0 symmetric, 1 antisymmetric) and its range of pairs in every context,
+    so a sector block is a product of contiguous ranges.  At n = 1 there is
+    one sector and ``order`` is the identity."""
     m = len(ctx_dims)
+    big = math.prod(ctx_dims) ** n
+    if n == 1:
+        order = np.arange(big)
+        order.setflags(write=False)
+        return order, (), (((), ()),)
     slot_dims = ctx_dims * n
-    big = math.prod(slot_dims)
-    digits = np.unravel_index(np.arange(big), slot_dims)
-    views = []
-    sector = np.zeros(big, dtype=np.int64)
-    k = np.zeros(big)
-    for i in range(m if n > 1 else 0):
-        if ctx_dims[i] == 1:
-            continue
-        first, second = digits[i], digits[m + i]
-        views.append((math.prod(slot_dims[:i]), ctx_dims[i],
-                      math.prod(slot_dims[i + 1:m + i])))
-        sector |= (first > second).astype(np.int64) << i
-        k += first != second
-    sectors = [np.flatnonzero(sector == s) for s in range(1 << m)]
-    sectors = tuple(s for s in sectors if s.size)
-    scale = 2.0 ** (-k / 2)
-    for arr in sectors + (scale,):
-        arr.setflags(write=False)
-    return tuple(views), sectors, scale
+    pairs = tuple((d, d * (d + 1) // 2) for d in ctx_dims)
+    order = np.arange(big // math.prod(ctx_dims) ** 2)  # copies 3..n
+    for i in reversed(range(m)):
+        d = ctx_dims[i]
+        a, b = np.triu_indices(d, 1)
+        first = np.concatenate([np.arange(d), a, b])
+        second = np.concatenate([np.arange(d), b, a])
+        index = (first * math.prod(slot_dims[i + 1:])
+                 + second * math.prod(slot_dims[m + i + 1:]))
+        order = (index[:, None] + order[None, :]).reshape(-1)
+    sectors = []
+    for s in range(1 << m):
+        choice = tuple((s >> i) & 1 for i in range(m))
+        if all(d > 1 or not c for d, c in zip(ctx_dims, choice)):
+            sectors.append((choice, tuple(slice(k, d * d) if c else slice(0, k)
+                                          for (d, k), c in zip(pairs, choice))))
+    order.setflags(write=False)
+    return order, pairs, tuple(sectors)
 
 
-@lru_cache(maxsize=32)
-def _sector_kron_order(ctx_dims: tuple[int, ...], n: int
-                       ) -> tuple[tuple[np.ndarray, ...], tuple[int, ...], tuple]:
-    """(bases, nsym, orders) for assembling the sector blocks of a product
-    operator from per-context pieces (n >= 2; see ``_power_blocks``).
-
-    ``bases[i]`` is the real orthogonal change of basis of
-    ``_swap_sectors`` on the two copies of context i (index a*d + b): first
-    the ``nsym[i]`` symmetric rows, for the indices a <= b in order, then the
-    antisymmetric rows, for a > b in order.  ``orders`` holds, for each
-    sector of ``_swap_sectors``, its per-context choice (0 symmetric, 1
-    antisymmetric) and the position of each of its indices in the Kronecker
-    product of the chosen per-context blocks with copies 3..n."""
-    m = len(ctx_dims)
-    slot_dims = ctx_dims * n
-    rest = math.prod(ctx_dims) ** (n - 2)
-    bases, nsym, ranks = [], [], []
-    for d in ctx_dims:
-        a, b = np.divmod(np.arange(d * d), d)
-        rows = np.concatenate([np.flatnonzero(a <= b), np.flatnonzero(a > b)])
-        a, b = a[rows], b[rows]
-        # row for index (a, b): e_ab + e_ba if a <= b, e_ab - e_ba if a > b
-        basis = np.zeros((d * d, d * d))
-        basis[np.arange(d * d), b * d + a] = np.where(a > b, -1.0, 1.0)
-        basis[np.arange(d * d), rows] = 1.0
-        basis[a != b] /= math.sqrt(2.0)
-        k = int(np.count_nonzero(a <= b))
-        rank = np.empty(d * d, dtype=np.int64)
-        rank[rows] = np.concatenate([np.arange(k), np.arange(d * d - k)])
-        basis.setflags(write=False)
-        bases.append(basis)
-        nsym.append(k)
-        ranks.append(rank)
-    orders = []
-    for idx in _swap_sectors(ctx_dims, n)[1]:
-        digits = np.unravel_index(idx, slot_dims)
-        choice = tuple(int(digits[i][0] > digits[m + i][0]) for i in range(m))
-        pos = np.zeros(idx.size, dtype=np.int64)
-        for i, d in enumerate(ctx_dims):
-            size = d * d - nsym[i] if choice[i] else nsym[i]
-            pos = pos * size + ranks[i][digits[i] * d + digits[m + i]]
-        pos = pos * rest + idx % rest
-        pos.setflags(write=False)
-        orders.append((choice, pos))
-    return tuple(bases), tuple(nsym), tuple(orders)
+def _sector_shape(pairs, big: int) -> tuple[int, ...]:
+    """The kept space (dimension ``big``) in the order of ``_swap_order`` as
+    a tensor: one axis of d*d digit pairs per context, then copies 3..n."""
+    shape = tuple(d * d for d, _ in pairs)
+    return shape + (big // math.prod(shape),)
 
 
-def _pair_sweep(x: np.ndarray, views, back: bool = False) -> None:
-    """In place along the leading (kept) axis of ``x``: for each context and
-    digit pair a < b, (x_ab, x_ba) <- (x_ab + x_ba, x_ba - x_ab), or the
-    transpose of that map when ``back``."""
-    for pre, d, mid in views:
-        x5 = x.reshape(pre, d, mid, d, -1)
-        for a in range(d - 1):
-            u = x5[:, a, :, a + 1:]
-            v = x5[:, a + 1:, :, a].swapaxes(1, 2)
-            if back:
-                u, v = v, u
-            v -= u
-            u *= 2
-            u += v
+def _pair_butterfly(x: np.ndarray, pairs, back: bool = False) -> None:
+    """In place along the leading axis of a C-contiguous ``x`` in the order
+    of ``_swap_order``: for each context and pair a < b,
+    (x_ab, x_ba) <- (x_ab + x_ba, x_ba - x_ab)/sqrt2, or the transpose of
+    that map when ``back``."""
+    pre = 1
+    for d, k in pairs:
+        x3 = x.reshape(pre, d * d, -1)
+        u, v = x3[:, d:k], x3[:, k:]
+        if back:
+            u, v = v, u
+        v -= u
+        u *= 2
+        u += v
+        x3[:, d:] *= math.sqrt(0.5)
+        pre *= d * d
 
 
 def _swap_blocks(h: np.ndarray, ctx_dims: tuple[int, ...], n: int) -> list[np.ndarray]:
     """The diagonal blocks P h P^T of a Hermitian ``h`` on the kept space of
-    n copies, P the normalised change of basis of ``_swap_sectors``, one per
-    sector and Hermitian-averaged.  ``h`` may be overwritten."""
-    views, sectors, scale = _swap_sectors(ctx_dims, n)
-    h = np.require(h, requirements="CW")  # _pair_sweep works in place on reshaped views
+    n copies, P the orthogonal change of basis of ``_swap_order`` and
+    ``_pair_butterfly``, one per sector and Hermitian-averaged."""
+    order, pairs, sectors = _swap_order(ctx_dims, n)
     if len(sectors) == 1:
         return [(h + h.conj().T) / 2]
     # rows, then rows of the conjugate transpose: P h^H P^T = P h P^T
-    _pair_sweep(h, views)
-    h = h.conj().T.copy()
-    _pair_sweep(h, views)
+    x = h[order]
+    _pair_butterfly(x, pairs)
+    x = x.conj().T[order]
+    _pair_butterfly(x, pairs)
+    shape = _sector_shape(pairs, order.size)
+    x = x.reshape(shape + shape)
     blocks = []
-    for idx in sectors:
-        s = scale[idx]
-        blk = h[np.ix_(idx, idx)]
-        blocks.append((blk + blk.conj().T) * (0.5 * np.outer(s, s)))
+    for _, slices in sectors:
+        blk = x[slices + (slice(None),) + slices]
+        blk = blk.reshape(math.prod(blk.shape[:len(shape)]), -1)
+        blocks.append((blk + blk.conj().T) / 2)
     return blocks
 
 
@@ -312,26 +280,20 @@ def _power_blocks(mats: Sequence[np.ndarray], ctx_dims: tuple[int, ...], n: int
     """The blocks ``_swap_blocks`` takes from rho^{x n}, rho = mats[0] x ...
     x mats[m-1], built without forming rho^{x n}.
 
-    The swap of copies 1 and 2 of context i acts on rho_i x rho_i only, so
-    each sector block is the Kronecker product of one block of
-    R_i (rho_i x rho_i) R_i^T per context (R_i from ``_sector_kron_order``)
-    with rho^{x (n-2)} for copies 3..n, reordered to slot-major.  Each
-    factor is Hermitian-averaged, so every block is exactly Hermitian."""
+    The swap of copies 1 and 2 of context i acts on rho_i x rho_i only, and
+    ``_swap_order`` lists the kept space context by context, so each sector
+    block is the Kronecker product of one two-copy block per context
+    (``_swap_blocks`` of rho_i x rho_i) with rho^{x (n-2)} for copies 3..n.
+    Each factor is Hermitian-averaged, so every block is exactly Hermitian;
+    real marginals give real blocks."""
     mats = [(a + a.conj().T) / 2 for a in mats]
+    mats = [a if a.imag.any() else a.real for a in mats]
     if n == 1:
         return [reduce(_kron, mats)]
-    bases, nsym, orders = _sector_kron_order(ctx_dims, n)
-    pairs = []
-    for a, basis, k in zip(mats, bases, nsym):
-        y = basis @ _kron(a, a) @ basis.T
-        y = (y + y.conj().T) / 2
-        pairs.append((y[:k, :k], y[k:, k:]))
+    two = [_swap_blocks(_kron(a, a), (d,), 2) for a, d in zip(mats, ctx_dims)]
     rest = [_kron_power(reduce(_kron, mats), n - 2)] if n > 2 else []
-    blocks = []
-    for choice, pos in orders:
-        blk = reduce(_kron, [pair[c] for pair, c in zip(pairs, choice)] + rest)
-        blocks.append(blk[np.ix_(pos, pos)])
-    return blocks
+    return [reduce(_kron, [blks[c] for blks, c in zip(two, choice)] + rest)
+            for choice, _ in _swap_order(ctx_dims, n)[2]]
 
 
 def _sector_min_eig(blocks: Sequence[np.ndarray], ctx_dims: tuple[int, ...], n: int
@@ -342,15 +304,18 @@ def _sector_min_eig(blocks: Sequence[np.ndarray], ctx_dims: tuple[int, ...], n: 
     Eigenvalues pick the block with the smallest one; only that block goes
     to ``eigh``, and its bottom eigenvector y is mapped back as P^T y.  With
     one sector (n = 1) this is plain ``eigh``."""
-    views, sectors, scale = _swap_sectors(ctx_dims, n)
+    order, pairs, sectors = _swap_order(ctx_dims, n)
     k = 0
     if len(blocks) > 1:
         k = int(np.argmin([np.linalg.eigvalsh(b)[0] for b in blocks]))
     w, v = np.linalg.eigh(blocks[k])
-    vec = np.zeros(scale.size, dtype=np.complex128)
-    vec[sectors[k]] = v[:, 0] * scale[sectors[k]]
-    _pair_sweep(vec, views, back=True)
-    return float(w[0]), vec
+    vec = np.zeros(order.size, dtype=np.complex128)
+    part = vec.reshape(_sector_shape(pairs, order.size))[sectors[k][1]]
+    part[...] = v[:, 0].reshape(part.shape)
+    _pair_butterfly(vec, pairs, back=True)
+    out = np.empty_like(vec)
+    out[order] = vec
+    return float(w[0]), out
 
 
 _DENSE_EIG_FAST = 1024  # LAPACK up to this kept dimension, Lanczos above
@@ -363,12 +328,13 @@ def _min_gap(ws: WiringSum, mats: Sequence[np.ndarray], n: int, *,
 
     ``ws`` is a scenario sum (slot t*m + i keeps context i).  Kept dimensions
     up to ``_DENSE_EIG_FAST`` solve densely: both terms commute with the
-    per-context swap of copies 1 and 2, so the RHS is split into the swap
-    sectors (``_swap_blocks``), the product power's blocks are built from
-    per-context pieces (``_power_blocks``) and the differences go to LAPACK
-    (``_sector_min_eig``); rho^{x n} is never formed.  Above that, Lanczos
-    runs on the full kept space.  A non-finite Lanczos result raises
-    ``ArithmeticError``."""
+    per-context swap of copies 1 and 2, whose sectors ``_swap_order`` lays
+    out once.  The real RHS matrix is gathered into that order and split by
+    ``_pair_butterfly`` (``_swap_blocks``), the product power's blocks are
+    Kronecker products of per-context two-copy blocks (``_power_blocks``)
+    and the differences go to LAPACK (``_sector_min_eig``); rho^{x n} is
+    never formed.  Above that, Lanczos runs on the full kept space.  A
+    non-finite Lanczos result raises ``ArithmeticError``."""
     layout = ws.layout
     big = layout.out_dim
     m = layout.nslots // n
@@ -444,9 +410,11 @@ def hierarchy_check(state: MProductState, n: int, *, tol: Tolerances = TOL,
     that no joint pure state has these marginals; a non-negative gap only
     rules nothing out at this level.  Kept dimensions up to 1024 solve
     densely, one LAPACK block per sector of the per-context swap of copies 1
-    and 2 (four blocks of 100, 60, 60 and 36 on the AB, BC chain at n = 2),
-    with the tensor power's blocks built from per-context two-copy factors;
-    larger ones run Lanczos.
+    and 2 (four blocks of 100, 60, 60 and 36 on the AB, BC chain at n = 2).
+    Each block is a product of contiguous ranges in one reordering of the
+    kept space, and the tensor power's blocks are Kronecker products of
+    per-context two-copy blocks, real for real marginals; larger kept
+    dimensions run Lanczos.
     """
     if n < 1:
         raise ValueError(f"level n must be >= 1, got {n}")

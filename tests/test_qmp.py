@@ -225,12 +225,44 @@ def test_sector_split_witness_on_a_planted_chain_violation():
     assert np.vdot(cert.witness, h @ cert.witness).real == pytest.approx(cert.gap, abs=1e-12)
 
 
+def _sector_parts(ctx_dims, n):
+    """(order, pairs, [(slices, part shape), ...]) of the copy-swap sectors."""
+    order, pairs, sectors = qmp_mod._swap_order(ctx_dims, n)
+    shape = qmp_mod._sector_shape(pairs, order.size)
+    probe = np.zeros(shape)
+    return order, pairs, [(slices, probe[slices].shape) for _, slices in sectors]
+
+
 def test_sector_count_and_sizes_on_the_chain():
-    _, sectors, scale = qmp_mod._swap_sectors((4, 4), 2)
-    assert [len(s) for s in sectors] == [100, 60, 60, 36]
-    assert sorted(np.concatenate(sectors)) == list(range(256))
-    assert len(qmp_mod._swap_sectors((4, 4), 1)[1]) == 1
-    assert set(np.round(scale ** -2, 12)) == {1.0, 2.0, 4.0}
+    order, _, parts = _sector_parts((4, 4), 2)
+    assert [math.prod(part) for _, part in parts] == [100, 60, 60, 36]
+    assert sorted(order) == list(range(256))
+    assert len(qmp_mod._swap_order((4, 4), 1)[2]) == 1
+
+
+def _sector_basis(ctx_dims, n):
+    """P^T as a matrix: every unit vector of every sector, mapped back."""
+    order, pairs, parts = _sector_parts(ctx_dims, n)
+    shape = qmp_mod._sector_shape(pairs, order.size)
+    cols = []
+    for slices, part in parts:
+        for j in range(math.prod(part)):
+            unit = np.zeros(math.prod(part))
+            unit[j] = 1.0
+            vec = np.zeros(order.size)
+            vec.reshape(shape)[slices] = unit.reshape(part)
+            qmp_mod._pair_butterfly(vec, pairs, back=True)
+            out = np.empty_like(vec)
+            out[order] = vec
+            cols.append(out)
+    return np.array(cols).T
+
+
+@pytest.mark.parametrize("ctx_dims,n", [((4, 4), 2), ((2, 2), 3)], ids=["chain-2", "pair-3"])
+def test_sector_change_of_basis_is_orthogonal(ctx_dims, n):
+    basis = _sector_basis(ctx_dims, n)
+    assert basis.shape == (math.prod(ctx_dims) ** n,) * 2
+    assert np.abs(basis.T @ basis - np.eye(basis.shape[0])).max() <= 1e-14
 
 
 def test_sector_split_takes_a_non_contiguous_matrix():
@@ -242,10 +274,12 @@ def test_sector_split_takes_a_non_contiguous_matrix():
     assert np.linalg.norm(h @ vec - gap * vec) < 1e-12
 
 
-@pytest.mark.parametrize("name,n", [("chain", 2), ("qutrit", 2), ("pair", 3), ("triangle", 1)])
-def test_power_blocks_match_the_split_of_the_formed_power(name, n):
+@pytest.mark.parametrize("source,name,n", [
+    (5, "chain", 2), (5, "qutrit", 2), (5, "pair", 3), (5, "triangle", 1), (0.7, "chain", 2),
+], ids=["chain-2", "qutrit-2", "pair-3", "triangle-1", "planted-chain-2"])
+def test_power_blocks_match_the_split_of_the_formed_power(source, name, n):
     scen = SCENARIOS[name]
-    st = marginals_of(haar_random_pure_on(scen.joint, 5), scen)
+    st = _sector_input(name, source)
     ctx_dims = tuple(scen.context_space(i).total_dim for i in range(scen.m))
     want = qmp_mod._swap_blocks(_kron_power(st.product_matrix(), n), ctx_dims, n)
     got = qmp_mod._power_blocks([rho.mat for rho in st.marginals], ctx_dims, n)
@@ -253,6 +287,8 @@ def test_power_blocks_match_the_split_of_the_formed_power(name, n):
     for g, w in zip(got, want):
         assert np.abs(g - w).max() <= 1e-14
         assert np.array_equal(g, g.conj().T)
+        # real marginals (the planted chain) give real blocks
+        assert g.dtype == (np.float64 if isinstance(source, float) else np.complex128)
 
 
 def _forbid_product_power(monkeypatch, st):
