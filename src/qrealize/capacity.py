@@ -19,7 +19,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .config import BUDGET, Budgets, ResourceBudgetError
-from .tensor import Operator, power_space, space
+from .tensor import Operator, _kron_power, power_space, space
 
 
 @dataclass(frozen=True)
@@ -333,10 +333,7 @@ def fixed_subspace_projector(rep_or_group, n: int, budget: Budgets = BUDGET) -> 
     budget.check_dense(d ** n, "fixed-subspace projector")
     total = np.zeros((d ** n, d ** n), dtype=np.complex128)
     for g in members:
-        power = np.array([[1.0]], dtype=np.complex128)
-        for _ in range(n):
-            power = np.kron(power, g)
-        total += power
+        total += _kron_power(g, n)
     total /= len(members)
     if np.max(np.abs(total @ total - total)) > 1e-8:
         raise ArithmeticError("group average is not idempotent")

@@ -16,7 +16,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .divergence import multinomial_mass
+from .divergence import multinomial_mass, spectrum_of
 from .partitions import Partition, partitions_of, schur_polynomial, specht_dim
 from .tensor import DensityOperator, Operator, as_matrix
 from .toy_xz import ToyXZBounds, toy_xz_exact_bounds, toy_xz_exact_fractions
@@ -82,10 +82,8 @@ def spectral_dist(rho, n: int) -> TypeDistribution:
     p(lambda) = specht_dim(lambda) * s_lambda(spectrum); support is all
     partitions of n with at most d rows, padded with zeros to length d.
     """
-    if isinstance(rho, DensityOperator):
-        spec = list(rho.spectrum())
-    elif isinstance(rho, Operator):
-        spec = list(np.clip(np.linalg.eigvalsh(rho.mat)[::-1], 0.0, None))
+    if isinstance(rho, (DensityOperator, Operator)):
+        spec = list(spectrum_of(rho))
     else:
         spec = sorted((float(v) for v in rho), reverse=True)
     d = len(spec)

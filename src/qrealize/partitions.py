@@ -109,22 +109,27 @@ def conjugacy_class_size(t: Partition) -> int:
     return math.factorial(n) // z
 
 
-def cycle_type(perm: Sequence[int]) -> Partition:
-    """Cycle type of a permutation in one-line notation."""
+def set_cycles(perm: Sequence[int]) -> list[list[int]]:
+    """Cycle decomposition; each cycle listed in iteration order from its
+    smallest unvisited element."""
     seen = [False] * len(perm)
-    lens = []
+    cycles = []
     for s in range(len(perm)):
         if seen[s]:
             continue
-        c = 0
+        cyc = []
         t = s
         while not seen[t]:
             seen[t] = True
+            cyc.append(t)
             t = perm[t]
-            c += 1
-        lens.append(c)
-    lens.sort(reverse=True)
-    return Partition(tuple(lens))
+        cycles.append(cyc)
+    return cycles
+
+
+def cycle_type(perm: Sequence[int]) -> Partition:
+    """Cycle type of a permutation in one-line notation."""
+    return Partition(tuple(sorted(map(len, set_cycles(perm)), reverse=True)))
 
 
 @cache

@@ -29,7 +29,7 @@ from .partitions import littlewood_richardson, partitions_of, \
 from .symmetrizer import WiringSum, check_perms_budget, isotypic_band_weight, \
     scenario_layout, sym_projector, traced_permutation_sum
 from .tensor import DensityOperator, LabeledSpace, Operator, PureState, \
-    as_matrix, lanczos_min_eig, partial_trace, power_space
+    _kron_power, as_matrix, lanczos_min_eig, partial_trace, power_space
 
 VERDICT_CONSISTENT = "CONSISTENT_AT_LEVEL"
 VERDICT_VIOLATED = "VIOLATED"
@@ -75,17 +75,10 @@ class MarginalScenario:
         return self.joint.subspace(self.contexts[i])
 
     @property
-    def kept_space(self) -> LabeledSpace:
-        """The target space: contexts concatenated, labels tagged by context."""
-        labels = []
-        for i, ctx in enumerate(self.contexts):
-            for x in ctx:
-                labels.append((f"{x}#{i}", self.joint.dim_of(x)))
-        return LabeledSpace(tuple(labels))
-
-    @property
     def kept_dim(self) -> int:
-        return self.kept_space.total_dim
+        """Dimension of one copy of the kept space: the product of the
+        context dimensions."""
+        return math.prod(self.joint.dim_of(x) for ctx in self.contexts for x in ctx)
 
     def __repr__(self):
         ctx = ",".join("".join(c) for c in self.contexts)
@@ -164,13 +157,6 @@ def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """np.kron for two matrices, as one broadcast product."""
     return (a[:, None, :, None] * b[None, :, None, :]).reshape(
         a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
-
-
-def _kron_power(mat: np.ndarray, n: int) -> np.ndarray:
-    out = mat
-    for _ in range(n - 1):
-        out = np.kron(out, mat)
-    return out
 
 
 def _apply_product_power(mat: np.ndarray, n: int, vec: np.ndarray) -> np.ndarray:
@@ -318,6 +304,23 @@ def _sector_min_eig(blocks: Sequence[np.ndarray], ctx_dims: tuple[int, ...], n: 
     return float(w[0]), out
 
 
+def _dense_gap(rhs: np.ndarray, mats: Sequence[np.ndarray], n: int, lhs_scale: float
+               ) -> tuple[float, np.ndarray]:
+    """Smallest eigenpair of rhs - lhs_scale * rho^{x n}, rho = mats[0] x ...
+    x mats[m-1], solved sector by sector.
+
+    ``rhs`` is the formed RHS matrix on the kept space of n copies (real for
+    a wiring sum, complex for a subspace projector).  It is split by
+    ``_swap_blocks``, the product power's blocks are Kronecker products of
+    per-context two-copy blocks (``_power_blocks``), and each difference
+    r - lhs_scale * p is formed out of place, so either dtype serves; rho^{x n}
+    is never formed.  The context dimensions are those of ``mats``."""
+    ctx_dims = tuple(a.shape[0] for a in mats)
+    blocks = [r - lhs_scale * p for r, p in zip(_swap_blocks(rhs, ctx_dims, n),
+                                                  _power_blocks(mats, ctx_dims, n))]
+    return _sector_min_eig(blocks, ctx_dims, n)
+
+
 _DENSE_EIG_FAST = 1024  # LAPACK up to this kept dimension, Lanczos above
 
 
@@ -326,31 +329,14 @@ def _min_gap(ws: WiringSum, mats: Sequence[np.ndarray], n: int, *,
     """Smallest eigenvalue (and eigenvector) of RHS - lhs_scale * rho^{x n},
     rho = mats[0] x ... x mats[m-1], one matrix per context.
 
-    ``ws`` is a scenario sum (slot t*m + i keeps context i).  Kept dimensions
-    up to ``_DENSE_EIG_FAST`` solve densely: both terms commute with the
-    per-context swap of copies 1 and 2, whose sectors ``_swap_order`` lays
-    out once.  The real RHS matrix is gathered into that order and split by
-    ``_pair_butterfly`` (``_swap_blocks``), the product power's blocks are
-    Kronecker products of per-context two-copy blocks (``_power_blocks``)
-    and the differences go to LAPACK (``_sector_min_eig``); rho^{x n} is
-    never formed.  Above that, Lanczos runs on the full kept space.  A
-    non-finite Lanczos result raises ``ArithmeticError``."""
-    layout = ws.layout
-    big = layout.out_dim
-    m = layout.nslots // n
-    ctx_dims = [1] * m
-    for (slot, _), d in zip(layout.axes, layout.axis_dims):
-        if slot < m:
-            ctx_dims[slot] *= d
-    ctx_dims = tuple(ctx_dims)
-    if tuple(a.shape[0] for a in mats) != ctx_dims:
-        raise ValueError("context matrix dimensions do not match the layout")
+    ``ws`` is a scenario sum (slot t*m + i keeps context i), whose kept
+    dimension alone picks the solver.  Up to ``_DENSE_EIG_FAST`` its real
+    matrix goes to ``_dense_gap``, one LAPACK solve per sector of the
+    per-context swap of copies 1 and 2.  Above that, Lanczos runs on the
+    full kept space.  A non-finite Lanczos result raises ``ArithmeticError``."""
+    big = ws.layout.out_dim
     if big <= _DENSE_EIG_FAST:
-        blocks = _power_blocks(mats, ctx_dims, n)
-        for rhs, blk in zip(_swap_blocks(ws.to_matrix(budget), ctx_dims, n), blocks):
-            blk *= -lhs_scale
-            blk += rhs
-        return _sector_min_eig(blocks, ctx_dims, n)
+        return _dense_gap(ws.to_matrix(budget), mats, n, lhs_scale)
 
     rho_m = reduce(np.kron, mats)
 
@@ -401,6 +387,23 @@ def _certificate(gap: float, wvec: np.ndarray, n: int, scen: MarginalScenario,
     )
 
 
+def _check(state: MProductState, v: int, n: int, tol: Tolerances, budget: Budgets
+           ) -> RealizabilityCertificate:
+    """The level-n check of v^{nm} * tuple^{x n} against the traced sum of
+    isotypic projectors over shapes with at most v rows; ``hierarchy_check``
+    is v = 1.  The level is checked before v, then the cached sum is solved
+    and certified."""
+    if n < 1:
+        raise ValueError(f"level n must be >= 1, got {n}")
+    scen = state.scenario
+    if not (1 <= v <= scen.d_joint):
+        raise ValueError(f"orthogonal-solution count v={v} must be in 1..{scen.d_joint}")
+    ws = _scenario_sum(scen, n, budget, v)
+    gap, wvec = _min_gap(ws, [rho.mat for rho in state.marginals], n, budget=budget,
+                         lhs_scale=float(v) ** (n * scen.m))
+    return _certificate(gap, wvec, n, scen, tol)
+
+
 def hierarchy_check(state: MProductState, n: int, *, tol: Tolerances = TOL,
                     budget: Budgets = BUDGET) -> RealizabilityCertificate:
     """Level-n realizability check for a candidate marginal tuple.
@@ -416,12 +419,7 @@ def hierarchy_check(state: MProductState, n: int, *, tol: Tolerances = TOL,
     per-context two-copy blocks, real for real marginals; larger kept
     dimensions run Lanczos.
     """
-    if n < 1:
-        raise ValueError(f"level n must be >= 1, got {n}")
-    scen = state.scenario
-    ws = _scenario_sum(scen, n, budget)
-    gap, wvec = _min_gap(ws, [rho.mat for rho in state.marginals], n, budget=budget)
-    return _certificate(gap, wvec, n, scen, tol)
+    return _check(state, 1, n, tol, budget)
 
 
 def ortho_bound_check(state: MProductState, v: int, n: int, *, tol: Tolerances = TOL,
@@ -433,15 +431,7 @@ def ortho_bound_check(state: MProductState, v: int, n: int, *, tol: Tolerances =
     over shapes with at most v rows; v = 1 reduces to hierarchy_check.  A
     violation rules out v orthogonal solutions (it does not rule out fewer).
     """
-    if n < 1:
-        raise ValueError(f"level n must be >= 1, got {n}")
-    scen = state.scenario
-    if not (1 <= v <= scen.d_joint):
-        raise ValueError(f"orthogonal-solution count v={v} must be in 1..{scen.d_joint}")
-    ws = _scenario_sum(scen, n, budget, v)
-    gap, wvec = _min_gap(ws, [rho.mat for rho in state.marginals], n, budget=budget,
-                         lhs_scale=float(v) ** (n * scen.m))
-    return _certificate(gap, wvec, n, scen, tol)
+    return _check(state, v, n, tol, budget)
 
 
 def subspace_hierarchy_check(state: MProductState, p_v: Operator, n: int, *,
@@ -475,10 +465,8 @@ def subspace_hierarchy_check(state: MProductState, p_v: Operator, n: int, *,
         for j, x in enumerate(scen.joint.names):
             if x not in ctx:
                 drop.append(slot * nlab + j)
-    ctx_dims = tuple(scen.context_space(i).total_dim for i in range(scen.m))
-    rhs = _swap_blocks(partial_trace(Operator(big_space, s), drop).mat, ctx_dims, n)
-    lhs = _power_blocks([rho.mat for rho in state.marginals], ctx_dims, n)
-    gap, wvec = _sector_min_eig([r - p for r, p in zip(rhs, lhs)], ctx_dims, n)
+    rhs = partial_trace(Operator(big_space, s), drop).mat
+    gap, wvec = _dense_gap(rhs, [rho.mat for rho in state.marginals], n, 1.0)
     return _certificate(gap, wvec, n, scen, tol)
 
 
@@ -562,7 +550,8 @@ def bipartite_check(rho_a: DensityOperator, rho_b: DensityOperator,
     r = (pa + pb) / 2.0
     rate = kl_divergence(pa, r) + kl_divergence(pb, r)
     realizable = bool(np.max(np.abs(pa - pb)) <= tol)
-    assert rate + 1e-12 >= pinsker - 1e-9, "divergence fell below its norm bound"
+    if not rate + 1e-12 >= pinsker - 1e-9:   # also catches a NaN rate
+        raise ArithmeticError("divergence fell below its norm bound")
     return BipartiteResult(realizable, float(rate), pinsker,
                            tuple(map(float, sa)), tuple(map(float, sb)),
                            tuple(map(float, r)))

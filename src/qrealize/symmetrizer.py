@@ -8,10 +8,11 @@ Three layers live here:
 * a wiring engine that partial-traces a permutation operator over any subset
   of (slot, label) wires without materializing the big space — each traced
   permutation collapses to (product of loop dimension factors) x (a
-  permutation of the kept wires).  A ``WiringSum`` merges such terms with
-  real coefficients.  Each term keeps the level histogram of every orbit of
-  the kept axes, so the sum is block diagonal over those sectors; it is
-  compiled once into stacked dense real blocks, one array per block size, so
+  permutation of the kept wires).  A ``WiringSum`` is a read-only table of
+  such terms, merged, with real coefficients.  Each term keeps the level
+  histogram of every orbit of the kept axes, so the sum is block diagonal
+  over those sectors; its constructor compiles it into stacked dense real
+  blocks, one array per block size, so
   each matvec is one gather, a few batched real matmuls and one scatter;
 
 * the biriffle evaluation of Tr(symmetric-average (X_1 x ... x X_k)) as a sum
@@ -24,13 +25,14 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Sequence
+from types import MappingProxyType
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from .config import BUDGET, Budgets, ResourceBudgetError
 from .partitions import (Partition, all_cycle_types, cycle_type, double_cosets,
-                         mn_character, partitions_of, specht_dim, weyl_dim)
+                         mn_character, partitions_of, set_cycles, specht_dim)
 from .tensor import (DensityOperator, LabeledSpace, Operator, apply_slot_permutation,
                      as_matrix, trace_with_permutation)
 
@@ -90,24 +92,6 @@ def antisym_projector(d: int, k: int, budget: Budgets = BUDGET) -> Operator:
         return (-1.0) ** (len(perm) - len(set_cycles(perm))) / math.factorial(k)
     mat = _permutation_sum(d, k, sgn, budget)
     return Operator(_slot_space(d, k), mat)
-
-
-def set_cycles(perm: Sequence[int]) -> list[list[int]]:
-    """Cycle decomposition; each cycle listed in iteration order from its
-    smallest unvisited element."""
-    seen = [False] * len(perm)
-    cycles = []
-    for s in range(len(perm)):
-        if seen[s]:
-            continue
-        cyc = []
-        t = s
-        while not seen[t]:
-            seen[t] = True
-            cyc.append(t)
-            t = perm[t]
-        cycles.append(cyc)
-    return cycles
 
 
 def uniform_sym_state(d: int, k: int, budget: Budgets = BUDGET) -> DensityOperator:
@@ -191,10 +175,6 @@ class SlotLayout:
     @cached_property
     def out_dim(self) -> int:
         return math.prod(self.axis_dims)
-
-    def space(self) -> LabeledSpace:
-        dd = self.dim_by_label
-        return LabeledSpace(tuple((f"{x}#{s}", dd[x]) for s, x in self.axes))
 
 
 def scenario_layout(labels: Sequence[tuple[str, int]],
@@ -287,45 +267,40 @@ def _axis_orbits(nax: int, perms) -> list[list[int]]:
 
 
 class WiringSum:
-    """A real-linear combination of wiring operators on a common layout.
+    """A real-linear combination of wiring operators on a common layout,
+    compiled once when it is made.
 
-    ``terms`` maps each kept-wire axis permutation to its real coefficient;
-    ``add`` merges repeats.  Every term permutes the axes inside each orbit
-    of the axes under all the terms, so it keeps the level histogram of each
-    orbit (how many of its axes sit at each level).  A sector is one choice
-    of those histograms, and the sum is exactly block diagonal over sectors.
-    On the first ``apply`` or ``to_matrix`` the terms are compiled once into
-    that block form: a permutation ``order`` of the kept-space indices that
-    groups them by block size, then by sector, and one stacked
+    ``terms`` maps each kept-wire axis permutation to its real coefficient,
+    repeats already merged (``traced_permutation_sum`` merges them); the
+    constructor checks every term and keeps the table read-only.  Every term
+    permutes the axes inside each orbit of the axes under all the terms, so
+    it keeps the level histogram of each orbit (how many of its axes sit at
+    each level).  A sector is one choice of those histograms, and the sum is
+    exactly block diagonal over sectors.  The constructor compiles the terms
+    into that block form: a permutation ``order`` of the kept-space indices
+    that groups them by block size, then by sector, and one stacked
     ``(count, k, k)`` float64 array per block size k.  A matvec is then one
     gather, one real matmul per block size and one scatter.  ``to_matrix``
     returns the sum as a float64 matrix: every coefficient and every entry
-    of a permutation is real.  ``add`` drops the compiled form; mutate the
-    sum through ``add`` only.
+    of a permutation is real.
     """
 
-    def __init__(self, layout: SlotLayout):
+    def __init__(self, layout: SlotLayout, terms: Mapping[tuple[int, ...], float]):
+        dims = layout.axis_dims
+        table: dict[tuple[int, ...], float] = {}
+        for perm, coeff in terms.items():
+            if sorted(perm) != list(range(len(dims))):
+                raise ValueError(f"wiring {perm} is not a permutation of the layout's "
+                                 f"{len(dims)} axes")
+            if any(dims[b] != dims[a] for a, b in enumerate(perm)):
+                raise ValueError("wiring permutes axes of different dimensions")
+            c = complex(coeff)
+            if c.imag != 0:
+                raise ValueError(f"wiring coefficients must be real, got {coeff!r}")
+            table[tuple(perm)] = c.real
         self.layout = layout
-        self.terms: dict[tuple[int, ...], float] = {}
-        self._blocks: tuple[np.ndarray, list[np.ndarray]] | None = None
-
-    def add(self, wiring: WiringOperator, coeff: float = 1.0) -> None:
-        dims = self.layout.axis_dims
-        if wiring.dims != dims:
-            raise ValueError("wiring axis dimensions do not match the layout")
-        if any(dims[b] != dims[a] for a, b in enumerate(wiring.perm)):
-            raise ValueError("wiring permutes axes of different dimensions")
-        c = complex(coeff)
-        if c.imag != 0:
-            raise ValueError(f"wiring coefficients must be real, got {coeff!r}")
-        key = wiring.perm
-        self.terms[key] = self.terms.get(key, 0.0) + c.real * wiring.scalar
-        self._blocks = None
-
-    def _compiled(self) -> tuple[np.ndarray, list[np.ndarray]]:
-        if self._blocks is None:
-            self._blocks = self._compile()
-        return self._blocks
+        self.terms = MappingProxyType(table)
+        self._order, self._blocks = self._compile()
 
     def _compile(self) -> tuple[np.ndarray, list[np.ndarray]]:
         """(order, blocks) of the merged sum.
@@ -376,7 +351,7 @@ class WiringSum:
         return order, blocks
 
     def apply(self, vec: np.ndarray) -> np.ndarray:
-        order, blocks = self._compiled()
+        order, blocks = self._order, self._blocks
         big = self.layout.out_dim
         v = np.asarray(vec, dtype=np.complex128).reshape(-1)
         if v.shape[0] != big:
@@ -397,7 +372,7 @@ class WiringSum:
     def to_matrix(self, budget: Budgets = BUDGET) -> np.ndarray:
         big = self.layout.out_dim
         budget.check_dense(big, "dense wiring sum")
-        order, blocks = self._compiled()
+        order, blocks = self._order, self._blocks
         out = np.zeros((big, big))
         lo = 0
         for b in blocks:
@@ -419,18 +394,23 @@ def check_perms_budget(nslots: int, budget: Budgets = BUDGET) -> None:
 def traced_permutation_sum(layout: SlotLayout,
                            weight_of_type: Callable[[Partition], float],
                            budget: Budgets = BUDGET) -> WiringSum:
-    """Sum over all slot permutations of weight(cycle type) x traced wiring."""
+    """Sum over all slot permutations of weight(cycle type) x traced wiring.
+
+    The traced permutations are merged by their kept-wire permutation, each
+    adding weight x loop factor to its coefficient, and the merged table
+    builds (and so compiles) the ``WiringSum`` once."""
     n = layout.nslots
     check_perms_budget(n, budget)
     weights: dict[tuple[int, ...], float] = {}
     for t in all_cycle_types(n):
         weights[t.parts] = weight_of_type(t)
-    out = WiringSum(layout)
+    terms: dict[tuple[int, ...], float] = {}
     for perm in itertools.permutations(range(n)):
         w = weights[cycle_type(perm).parts]
         if w != 0:
-            out.add(traced_permutation(layout, perm), w)
-    return out
+            op = traced_permutation(layout, perm)
+            terms[op.perm] = terms.get(op.perm, 0.0) + w * op.scalar
+    return WiringSum(layout, terms)
 
 
 def traced_symmetrizer(labels: Sequence[tuple[str, int]],

@@ -233,6 +233,14 @@ def kron(a: Operator, b: Operator) -> Operator:
     return Operator(a.space.concat(b.space), np.kron(a.mat, b.mat))
 
 
+def _kron_power(mat: np.ndarray, n: int) -> np.ndarray:
+    """mat^{tensor n} as a dense matrix, n >= 1."""
+    out = mat
+    for _ in range(n - 1):
+        out = np.kron(out, mat)
+    return out
+
+
 def partial_trace(x: Operator, drop: Iterable[int]) -> Operator:
     """Trace out the factors at the given slot indices.
 

@@ -20,7 +20,7 @@ from qrealize.estimation import (
     toy_xz_exact_fractions,
     toy_xz_simulate,
 )
-from qrealize.divergence import multinomial_mass
+from qrealize.divergence import multinomial_mass, spectrum_of
 from qrealize.partitions import Partition, partitions_of
 from qrealize.symmetrizer import isotypic_projector, sym_projector
 from qrealize.tensor import DensityOperator, Operator, haar_random_density, space
@@ -69,6 +69,15 @@ def test_spectral_dist_matches_isotypic_projector_trace(d, n):
         p_lam = isotypic_projector(lam, d, n).mat
         want = float(np.real(np.trace(p_lam @ big)))
         assert dist.prob(lam.padded(d)) == pytest.approx(want, abs=1e-10)
+
+
+def test_spectral_dist_of_an_operator_reads_its_hermitian_part():
+    """Like every other spectrum in the package, an Operator's goes through
+    its Hermitian part; its lower triangle alone would give p(4, 0) = 0.3376."""
+    rho = Operator(space(("A", 2)), np.array([[0.6, 0.1], [0.0, 0.4]]))
+    dist = spectral_dist(rho, 4)
+    assert dist.support == spectral_dist(list(spectrum_of(rho)), 4).support
+    assert dist.prob((4, 0)) == pytest.approx(0.34391, abs=1e-5)
 
 
 def test_spectral_dist_accepts_spectrum_list():

@@ -522,11 +522,14 @@ def test_three_qubit_witness_blind_spot():
 
 
 def test_ortho_bound_v1_reduces_to_hierarchy():
-    psi = haar_random_pure_on(TRIPLE.joint, 13)
-    st = marginals_of(psi, TRIPLE)
-    a = hierarchy_check(st, 1)
-    b = ortho_bound_check(st, 1, 1)
-    assert b.gap == pytest.approx(a.gap, abs=1e-9)
+    """With v = 1 both checks run one core on one cached sum: the same
+    certificate, witness included, to the bit."""
+    states = [marginals_of(haar_random_pure_on(TRIPLE.joint, 13), TRIPLE),
+              triple_product(0.7 * SINGLET_RHO + 0.3 * np.eye(4) / 4),
+              _sector_input("chain", 13), _planted_chain(0.7)]
+    for st in states:
+        for n in (1, 2):
+            assert ortho_bound_check(st, 1, n).to_json() == hierarchy_check(st, n).to_json()
 
 
 def test_ortho_bound_rank_window_validated():
@@ -654,6 +657,15 @@ def test_bipartite_rate_matches_grid_and_pinsker():
     assert res.rate >= res.pinsker_bound - 1e-9
     l1 = abs(0.8 - 0.6) + abs(0.2 - 0.4)
     assert res.pinsker_bound == pytest.approx(l1 ** 2 / 6)
+
+
+def test_bipartite_pinsker_self_check_survives_optimisation(monkeypatch):
+    """The self-check raises, not asserts, so ``python -O`` keeps it."""
+    monkeypatch.setattr(qmp_mod, "kl_divergence", lambda p, q: -1.0)
+    ra = DensityOperator(Operator(space(("A", 2)), np.diag([0.8, 0.2])))
+    rb = DensityOperator(Operator(space(("B", 2)), np.diag([0.6, 0.4])))
+    with pytest.raises(ArithmeticError, match="divergence fell below its norm bound"):
+        bipartite_check(ra, rb)
 
 
 def test_bipartite_rank_overflow_is_unrealizable():

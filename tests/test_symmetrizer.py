@@ -304,16 +304,14 @@ def test_bibiriffle_lower_bound_holds(d, n):
 def test_wiring_sum_rejects_layout_mismatch():
     l1 = scenario_layout((("A", 2),), (("A",),), 1)
     l2 = scenario_layout((("A", 2),), (("A",),), 2)
-    ws = WiringSum(l1)
     with pytest.raises(ValueError):
-        ws.add(traced_permutation(l2, (0, 1)))
+        WiringSum(l1, {traced_permutation(l2, (0, 1)).perm: 1.0})
 
 
 def test_wiring_sum_rejects_permutations_across_dimensions():
     layout = scenario_layout((("A", 2), ("B", 3)), (("A", "B"),), 1)
-    ws = WiringSum(layout)
     with pytest.raises(ValueError):
-        ws.add(WiringOperator(1.0, (1, 0), layout.axis_dims))
+        WiringSum(layout, {(1, 0): 1.0})
 
 
 TRIANGLE = ((("A", 2), ("B", 2), ("C", 2)), (("A", "B"), ("A", "C"), ("B", "C")))
@@ -360,28 +358,27 @@ def test_compiled_to_matrix_matches_term_by_term_sum(scen, n):
         assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
 
 
-def test_add_after_apply_invalidates_compiled_form():
-    layout = scenario_layout(*TRIANGLE, 1)
-    ws = WiringSum(layout)
-    ws.add(traced_permutation(layout, (0, 1, 2)))
-    v = np.random.default_rng(2).normal(size=layout.out_dim)
-    assert np.allclose(ws.apply(v), 8 * v)
-    ws.add(traced_permutation(layout, (1, 2, 0)), -0.5)
-    assert np.allclose(ws.apply(v), _term_by_term_apply(ws, v), atol=1e-14)
-    assert np.allclose(ws.to_matrix() @ v, _term_by_term_apply(ws, v), atol=1e-14)
+def test_wiring_sum_terms_are_read_only():
+    layout = scenario_layout(*CHAIN, 1)
+    ws = WiringSum(layout, {(0, 1, 2, 3): 0.5})
+    with pytest.raises(TypeError):
+        ws.terms[(1, 0, 2, 3)] = 0.5
+    with pytest.raises(TypeError):
+        ws.terms[(0, 1, 2, 3)] = 1.0
+    assert dict(ws.terms) == {(0, 1, 2, 3): 0.5}
 
 
 def test_empty_wiring_sum_is_zero():
-    ws = WiringSum(scenario_layout(*CHAIN, 1))
+    ws = WiringSum(scenario_layout(*CHAIN, 1), {})
     assert np.array_equal(ws.apply(np.ones(16)), np.zeros(16))
     assert np.array_equal(ws.to_matrix(), np.zeros((16, 16)))
 
 
 def test_wiring_sum_without_kept_wires_is_a_scalar():
     layout = SlotLayout(2, (("A", 2),), ())
-    ws = WiringSum(layout)
-    ws.add(traced_permutation(layout, (1, 0)), 0.25)
-    ws.add(traced_permutation(layout, (0, 1)), 0.25)
+    one, two = (traced_permutation(layout, p) for p in ((1, 0), (0, 1)))
+    assert one.perm == two.perm == ()
+    ws = WiringSum(layout, {(): 0.25 * one.scalar + 0.25 * two.scalar})
     # one loop (d = 2) plus two loops (d^2 = 4)
     assert ws.apply(np.ones(1)) == pytest.approx(1.5)
     assert ws.to_matrix() == pytest.approx(np.array([[1.5]]))
@@ -389,11 +386,10 @@ def test_wiring_sum_without_kept_wires_is_a_scalar():
 
 def test_wiring_sum_coefficients_are_real():
     layout = scenario_layout(*CHAIN, 1)
-    ws = WiringSum(layout)
     wiring = traced_permutation(layout, (1, 0))
     with pytest.raises(ValueError):
-        ws.add(wiring, 0.5j)
-    ws.add(wiring, 0.5 + 0j)
+        WiringSum(layout, {wiring.perm: 0.5j})
+    ws = WiringSum(layout, {wiring.perm: 0.5 + 0j})
     assert all(type(c) is float for c in ws.terms.values())
 
 
@@ -414,12 +410,13 @@ def test_compiled_blocks_follow_orbits_that_mix_labels():
     sectors keyed per label would split its blocks and drop entries."""
     layout = scenario_layout(*TRIANGLE, 1)
     assert layout.axes == [(0, "A"), (0, "B"), (1, "A"), (1, "C"), (2, "B"), (2, "C")]
-    dims = layout.axis_dims
-    ws = WiringSum(layout)
-    ws.add(WiringOperator(1.0, (0, 1, 2, 3, 4, 5), dims), 0.5)
-    ws.add(WiringOperator(1.0, (2, 1, 0, 3, 4, 5), dims), -1.25)     # A#0 <-> A#1
-    ws.add(WiringOperator(2.0, (1, 0, 2, 3, 4, 5), dims), 0.75)      # A#0 <-> B#0
-    ws.add(WiringOperator(1.0, (0, 1, 2, 5, 4, 3), dims), 2.0)       # C#1 <-> C#2
+    assert layout.axis_dims == (2,) * 6
+    ws = WiringSum(layout, {
+        (0, 1, 2, 3, 4, 5): 0.5,
+        (2, 1, 0, 3, 4, 5): -1.25,      # A#0 <-> A#1
+        (1, 0, 2, 3, 4, 5): 2.0 * 0.75,  # A#0 <-> B#0
+        (0, 1, 2, 5, 4, 3): 2.0,        # C#1 <-> C#2
+    })
     _assert_compiled_matches_terms(ws, np.random.default_rng(41))
 
 
