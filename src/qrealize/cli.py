@@ -14,6 +14,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import json
+import math
 import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -289,12 +290,17 @@ def keyl_cmd(rho, sigma, copies, out):
     """Keyl divergence K(rho || sigma), optionally with the ratio bound."""
     from .divergence import discrimination_ratio_bound, keyl_divergence
 
+    def finite(x: float) -> float | None:
+        # JSON has no infinity: a non-finite value is written as null
+        return x if math.isfinite(x) else None
+
     r = _load_density(rho)
     s = _load_density(sigma)
-    payload = {"keyl": keyl_divergence(r.mat, s.mat)}
+    payload = {"keyl": finite(keyl_divergence(r.mat, s.mat))}
     if copies is not None:
         ratio, bound, ok = discrimination_ratio_bound(r.mat, s.mat, copies)
-        payload.update({"copies": copies, "ratio": ratio, "bound": bound, "ok": ok})
+        payload.update({"copies": copies, "ratio": finite(ratio), "bound": finite(bound),
+                        "ok": ok})
     _emit(dumps(payload, indent=2) + "\n", out)
 
 

@@ -214,6 +214,8 @@ class DensityCurve:
 
 def density_curve(fun, lo: float, hi: float, npoints: int = 2000) -> DensityCurve:
     """Sample ``fun`` on a half-step-offset grid covering [lo, hi]."""
+    if npoints < 1:
+        raise ValueError(f"need at least one grid point, got npoints={npoints}")
     step = (hi - lo) / npoints
     grid = lo - step / 2 + step * np.arange(npoints + 2)
     values = np.asarray([max(float(fun(t)), 0.0) for t in grid])

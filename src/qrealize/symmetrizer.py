@@ -3,7 +3,9 @@
 Three layers live here:
 
 * dense projectors onto the symmetric / antisymmetric / general isotypic
-  subspaces of (C^d)^{otimes k}, built as character-weighted permutation sums;
+  subspaces of (C^d)^{otimes k}: character-weighted permutation sums, built
+  as wiring sums whose layout keeps every wire (so each traced permutation is
+  the permutation itself);
 
 * a wiring engine that partial-traces a permutation operator over any subset
   of (slot, label) wires without materializing the big space — each traced
@@ -37,61 +39,47 @@ from .tensor import (DensityOperator, LabeledSpace, Operator, apply_slot_permuta
                      as_matrix, trace_with_permutation)
 
 # ---------------------------------------------------------------------------
-# Dense permutation-sum projectors on k equal slots
+# Dense projectors on k equal slots
 
 
-def _accumulate_axis_perm(mat: np.ndarray, dims: Sequence[int], perm: Sequence[int],
-                          coeff: complex, col_multi: np.ndarray) -> None:
-    """mat[r, c] += coeff over the entries of the axis-permutation operator.
+def _character_weight(n: int, lams: Sequence[Partition]) -> Callable[[Partition], float]:
+    """Cycle-type weight sum over lam in lams of specht_dim(lam) chi_lam(t) / n!.
 
-    ``col_multi`` is the (k, D) table of column multi-indices (precomputed by
-    the caller); row multi-index r satisfies r_{perm[a]} = c_a.
-    """
-    if not perm:
-        mat[0, 0] += coeff
-        return
-    k = len(perm)
-    inv = [0] * k
-    for a, b in enumerate(perm):
-        inv[b] = a
-    rows = np.ravel_multi_index([col_multi[inv[b]] for b in range(k)], tuple(dims))
-    mat[rows, np.arange(mat.shape[1])] += coeff
+    Its sum over S_n of weight x T(pi) is the sum of the lam-isotypic
+    projectors; every character-weighted permutation sum takes its weights
+    from here."""
+    table: dict[tuple[int, ...], float] = {}
+    for t in all_cycle_types(n):
+        table[t.parts] = sum(specht_dim(lam) * mn_character(lam, t) for lam in lams) \
+            / math.factorial(n)
+    return lambda t: table[t.parts]
 
 
-def _permutation_sum(d: int, k: int, weight: Callable[[tuple[int, ...]], complex],
-                     budget: Budgets = BUDGET) -> np.ndarray:
-    """Sum over all of S_k of weight(perm) T(perm) on (C^d)^{otimes k}, dense."""
-    big = d ** k
-    budget.check_dense(big, f"dense permutation sum on {k} slots of C^{d}")
+def _dense_sum(d: int, k: int, lams: Sequence[Partition], budget: Budgets) -> Operator:
+    """Sum of the lam-isotypic projectors on slots s0..s{k-1} of C^d, dense.
+
+    A wiring sum whose layout keeps every wire: each traced permutation is
+    the permutation itself, with scalar 1."""
+    budget.check_dense(d ** k, f"dense permutation sum on {k} slots of C^{d}")
     if math.factorial(k) > budget.perms_dense:
         raise ResourceBudgetError(f"dense permutation sum on {k} slots: {k}! permutations "
                                   f"exceed cap perms_dense={budget.perms_dense}")
-    dims = (d,) * k
-    col_multi = np.array(np.unravel_index(np.arange(big), dims))
-    out = np.zeros((big, big), dtype=np.complex128)
-    for perm in itertools.permutations(range(k)):
-        w = weight(perm)
-        if w != 0:
-            _accumulate_axis_perm(out, dims, perm, w, col_multi)
-    return out
-
-
-def _slot_space(d: int, k: int) -> LabeledSpace:
-    return LabeledSpace(tuple((f"s{t}", d) for t in range(k)))
+    layout = SlotLayout(k, (("Q", d),), (("Q", tuple(range(k))),))
+    uncapped = budget.with_(perms_matrix_free=math.factorial(k))
+    ws = traced_permutation_sum(layout, _character_weight(k, lams), uncapped)
+    return Operator(LabeledSpace(tuple((f"s{t}", d) for t in range(k))), ws.to_matrix(budget))
 
 
 def sym_projector(d: int, k: int, budget: Budgets = BUDGET) -> Operator:
-    """Orthogonal projector onto the symmetric subspace of k slots of C^d."""
-    mat = _permutation_sum(d, k, lambda p: 1.0 / math.factorial(k), budget)
-    return Operator(_slot_space(d, k), mat)
+    """Orthogonal projector onto the symmetric subspace of k slots of C^d:
+    the isotypic projector of the one-row shape (k)."""
+    return _dense_sum(d, k, [Partition((k,))], budget)
 
 
 def antisym_projector(d: int, k: int, budget: Budgets = BUDGET) -> Operator:
-    """Orthogonal projector onto the antisymmetric subspace; zero for k > d."""
-    def sgn(perm):
-        return (-1.0) ** (len(perm) - len(set_cycles(perm))) / math.factorial(k)
-    mat = _permutation_sum(d, k, sgn, budget)
-    return Operator(_slot_space(d, k), mat)
+    """Orthogonal projector onto the antisymmetric subspace: the isotypic
+    projector of the one-column shape (1^k); zero for k > d."""
+    return _dense_sum(d, k, [Partition((1,) * k)], budget)
 
 
 def uniform_sym_state(d: int, k: int, budget: Budgets = BUDGET) -> DensityOperator:
@@ -103,19 +91,13 @@ def uniform_sym_state(d: int, k: int, budget: Budgets = BUDGET) -> DensityOperat
 def isotypic_projector(lam: Partition, d: int, n: int, budget: Budgets = BUDGET) -> Operator:
     """Projector onto the lam-isotypic component of S_n acting on n slots of C^d.
 
-    Built as (specht_dim(lam)/n!) sum_pi character(cycle type of pi) T(pi);
-    the projectors over all lam of size n resolve the identity.
+    Built as (specht_dim(lam)/n!) sum_pi character(cycle type of pi) T(pi),
+    the same every-wire wiring sum as ``sym_projector``; the projectors over
+    all lam of size n resolve the identity.
     """
     if lam.size != n:
         raise ValueError(f"partition size {lam.size} != number of slots {n}")
-    f = specht_dim(lam)
-    chars = {t.parts: mn_character(lam, t) for t in all_cycle_types(n)}
-
-    def weight(perm):
-        return f * chars[cycle_type(perm).parts] / math.factorial(n)
-
-    mat = _permutation_sum(d, n, weight, budget)
-    return Operator(_slot_space(d, n), mat)
+    return _dense_sum(d, n, [lam], budget)
 
 
 # ---------------------------------------------------------------------------
@@ -204,11 +186,10 @@ class WiringOperator:
 
     def to_matrix(self) -> np.ndarray:
         big = math.prod(self.dims)
-        out = np.zeros((big, big), dtype=np.complex128)
-        col_multi = np.array(np.unravel_index(np.arange(big), self.dims)) \
-            if self.dims else np.zeros((0, 1), dtype=int)
-        _accumulate_axis_perm(out, self.dims, self.perm, self.scalar, col_multi)
-        return out
+        k = len(self.dims)
+        eye = np.eye(big).reshape(self.dims * 2)
+        axes = list(np.argsort(self.perm)) + list(range(k, 2 * k))
+        return self.scalar * eye.transpose(axes).reshape(big, big)
 
 
 def traced_permutation(layout: SlotLayout, perm: Sequence[int]) -> WiringOperator:
@@ -424,19 +405,14 @@ def traced_symmetrizer(labels: Sequence[tuple[str, int]],
     under inverses).
     """
     layout = scenario_layout(labels, contexts, n)
-    nm = layout.nslots
-    return traced_permutation_sum(layout, lambda t: 1.0 / math.factorial(nm), budget)
+    return traced_permutation_sum(layout, isotypic_band_weight(layout.nslots, 1), budget)
 
 
 def isotypic_band_weight(nslots: int, max_len: int) -> Callable[[Partition], float]:
     """Weight function whose permutation sum is sum of isotypic projectors
     over partitions with at most max_len rows."""
-    lams = [lam for lam in partitions_of(nslots, nslots) if lam.length <= max_len]
-    table: dict[tuple[int, ...], float] = {}
-    for t in all_cycle_types(nslots):
-        table[t.parts] = sum(specht_dim(lam) * mn_character(lam, t) for lam in lams) \
-            / math.factorial(nslots)
-    return lambda t: table[t.parts]
+    return _character_weight(nslots, [lam for lam in partitions_of(nslots, nslots)
+                                      if lam.length <= max_len])
 
 
 # ---------------------------------------------------------------------------

@@ -196,6 +196,21 @@ def test_keyl_command_reports_divergence_and_bound(runner, tmp_path):
     assert doc["ok"] is True and doc["ratio"] <= doc["bound"] * (1 + 1e-9)
 
 
+@pytest.mark.parametrize("copies,extra", [
+    (None, {}),
+    (4, {"copies": 4, "ratio": 0, "bound": 0, "ok": True}),
+    (1, {"copies": 1, "ratio": 0, "bound": None, "ok": True}),
+])
+def test_keyl_writes_null_for_an_infinite_divergence(runner, tmp_path, copies, extra):
+    # sigma vanishes on rho's leading eigenvector, so K(rho || sigma) = +inf
+    r = _write_op(tmp_path / "r.json", [("A", 2)], np.diag([0.7, 0.3]))
+    s = _write_op(tmp_path / "s.json", [("A", 2)], np.diag([0.0, 1.0]))
+    args = ["keyl", r, s] + ([] if copies is None else ["--copies", str(copies)])
+    res = runner.invoke(main, args)
+    assert res.exit_code == 0, res.output
+    assert json.loads(res.output) == {"keyl": None, **extra}
+
+
 def test_sanov_command_checks_envelope(runner):
     res = runner.invoke(main, ["sanov", "--q", "0.5,0.5", "--type", "3,1"])
     assert res.exit_code == 0
@@ -241,6 +256,13 @@ def test_density_curve_csv_and_joint_mode(runner, tmp_path):
 
 def test_density_requires_a_mode(runner):
     assert runner.invoke(main, ["density"]).exit_code == 2
+
+
+@pytest.mark.parametrize("points", ["0", "-3"])
+def test_density_rejects_an_empty_grid_as_usage_error(runner, points):
+    res = runner.invoke(main, ["density", "--eigs", "0.8,0.2", "--points", points])
+    assert res.exit_code == 2
+    assert f"need at least one grid point, got npoints={points}" in res.output
 
 
 def test_toy_xz_exact_and_sampled(runner):

@@ -26,7 +26,7 @@ from qrealize.symmetrizer import (
     traced_symmetrizer,
     uniform_sym_state,
 )
-from qrealize.partitions import specht_dim, weyl_dim
+from qrealize.partitions import cycle_type, mn_character, specht_dim, weyl_dim
 from qrealize.tensor import (
     Operator,
     apply_slot_permutation,
@@ -104,6 +104,33 @@ def test_isotypic_projectors_are_mutually_orthogonal():
     for i in range(len(mats)):
         for j in range(i + 1, len(mats)):
             assert np.allclose(mats[i] @ mats[j], 0, atol=1e-10)
+
+
+def _explicit_sum(d, k, weight):
+    """sum over S_k of weight(perm) T(perm), term by term, each T(perm) from
+    the dense permutation operator."""
+    one = space(("Q", d))
+    total = np.zeros((d ** k, d ** k), dtype=complex)
+    for perm in itertools.permutations(range(k)):
+        total += weight(perm) * permutation_operator(one, perm).mat
+    return total
+
+
+@pytest.mark.parametrize("d,k", [(2, 3), (3, 3), (2, 4)])
+def test_sym_and_antisym_projectors_equal_their_explicit_sums(d, k):
+    norm = math.factorial(k)
+    sym = _explicit_sum(d, k, lambda perm: 1 / norm)
+    sign = _explicit_sum(d, k, lambda perm: (-1) ** (k - len(set_cycles(perm))) / norm)
+    assert np.max(np.abs(sym_projector(d, k).mat - sym)) <= 1e-14
+    # (2, 3) and (2, 4) have more slots than the local dimension: both are 0
+    assert np.max(np.abs(antisym_projector(d, k).mat - sign)) <= 1e-14
+
+
+@pytest.mark.parametrize("lam", partitions_of(4, 4), ids=lambda lam: str(lam.parts))
+def test_isotypic_projector_equals_its_explicit_sum(lam):
+    f = specht_dim(lam)
+    want = _explicit_sum(3, 4, lambda perm: f * mn_character(lam, cycle_type(perm)) / 24)
+    assert np.max(np.abs(isotypic_projector(lam, 3, 4).mat - want)) <= 1e-14
 
 
 def test_set_cycles():
