@@ -16,7 +16,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .partitions import Partition, approx_partition, finite_difference
+from .partitions import Partition, _dyadic_numerators, approx_partition, finite_difference
 from .tensor import DensityOperator, as_matrix
 
 
@@ -186,19 +186,18 @@ class SanovCheck(NamedTuple):
 
 
 def multinomial_mass(q: Sequence[float], lam: Sequence[int]) -> float:
-    """Probability of the type lam under n iid draws from q (n = sum lam)."""
+    """Probability of the type lam under n iid draws from q (n = sum lam):
+    with q_i = a_i / D, the integer coeff * prod a_i^lam_i / D^n, rounded once."""
     lam = [int(v) for v in lam]
-    n = sum(lam)
-    coeff = math.factorial(n)
+    a, den = _dyadic_numerators(q)
+    num = math.factorial(sum(lam))
     for v in lam:
-        coeff //= math.factorial(v)
-    out = float(coeff)
-    for qi, v in zip(q, lam):
-        if v:
-            if qi <= 0.0:
-                return 0.0
-            out *= qi ** v
-    return out
+        num //= math.factorial(v)
+    for ai, v in zip(a, lam):
+        if v and ai <= 0:
+            return 0.0
+        num *= ai ** v
+    return num / den ** sum(lam)
 
 
 def sanov_bounds_check(q: Sequence[float], lam: Sequence[int], n: int) -> SanovCheck:

@@ -3,19 +3,19 @@ Littlewood-Richardson coefficients, the finite-difference/cumulative-sum
 bridge between spectra and partitions, and double cosets of product
 subgroups inside S_{nk}.
 
-Everything countable is computed in exact integer arithmetic; only Schur
-polynomial *values* are floating point.
+Everything is computed in exact integer arithmetic.  Schur polynomial
+values are exact rationals (every float is a dyadic rational), rounded once
+to float.  The module imports no numpy.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from typing import Iterable, Sequence
-
-import numpy as np
 
 
 @dataclass(frozen=True, order=True)
@@ -168,43 +168,32 @@ def weyl_dim(lam: Partition, d: int) -> int:
 
 
 def _interlacing(lam: tuple[int, ...]):
-    """All mu with lam_{i+1} <= mu_i <= lam_i (one row shorter)."""
-    if not lam:
-        yield ()
-        return
-    bounds = [(lam[i + 1] if i + 1 < len(lam) else 0, lam[i]) for i in range(len(lam))]
-
-    def rec(i):
-        if i == len(bounds):
-            yield ()
-            return
-        lo, hi = bounds[i]
-        for v in range(hi, lo - 1, -1):
-            for rest in rec(i + 1):
-                yield (v,) + rest
-
-    yield from rec(0)
+    """All mu with lam_{i+1} <= mu_i <= lam_i (one row shorter), in
+    decreasing lexicographic order."""
+    lows = lam[1:] + (0,)
+    return itertools.product(*(range(hi, lo - 1, -1) for hi, lo in zip(lam, lows)))
 
 
-def schur_ssyt(lam: Partition, x: Sequence[float]) -> float:
-    """Schur value by the branching (semistandard-tableau) summation.
+def schur_ssyt(lam: Partition, x: Sequence):
+    """Schur value by the branching (semistandard-tableau) summation, in the
+    arithmetic of its inputs: floats, or Fractions for the exact value.
 
-    Every term is a product of non-negative inputs, so for spectra this route
-    is free of cancellation.
+    Every term is a product of inputs, so for spectra this route is free of
+    cancellation; the tests keep it as schur_polynomial's reference.
     """
-    x = [float(v) for v in x]
+    x = list(x)
     if lam.length > len(x):
-        return 0.0
+        return 0
 
     @cache
-    def rec(shape: tuple[int, ...], nvars: int) -> float:
+    def rec(shape: tuple[int, ...], nvars: int):
         if not shape:
-            return 1.0
+            return 1
         if nvars == 0:
-            return 0.0
+            return 0
         if len(shape) > nvars:
-            return 0.0
-        tot = 0.0
+            return 0
+        tot = 0
         w = sum(shape)
         for mu in _interlacing(shape):
             mu_stripped = tuple(v for v in mu if v > 0)
@@ -217,42 +206,53 @@ def schur_ssyt(lam: Partition, x: Sequence[float]) -> float:
         rec.cache_clear()
 
 
-def schur_bialternant(lam: Partition, x: Sequence[float], *, spread: float = 1e-5) -> float:
-    """Schur value as the ratio det(x_i^{lam_j+d-j}) / Vandermonde(x).
-
-    Near-coincident inputs are split symmetrically by +/- spread offsets and
-    the two evaluations averaged, cancelling the first-order perturbation
-    error.
-    """
-    x = np.asarray(x, dtype=float)
-    d = len(x)
-    if lam.length > d:
-        return 0.0
-    gaps = np.abs(x[:, None] - x[None, :])[np.triu_indices(d, 1)]
-    if d > 1 and (gaps.min() if gaps.size else 1.0) < 1e-7:
-        offs = spread * (np.arange(d) - (d - 1) / 2.0)
-        return 0.5 * (schur_bialternant(lam, x + offs, spread=spread)
-                      + schur_bialternant(lam, x - offs, spread=spread))
-    expo = np.array(lam.padded(d)) + np.arange(d - 1, -1, -1)
-    num = np.linalg.det(np.power.outer(x, expo))
-    den = np.linalg.det(np.power.outer(x, np.arange(d - 1, -1, -1)))
-    return float(num / den)
+def _dyadic_numerators(x: Sequence[float]) -> tuple[list[int], int]:
+    """Integers a_i and one power of two D with x_i = a_i / D exactly (every
+    finite float is a dyadic rational); ValueError names a non-finite x_i."""
+    ratios = []
+    for v in map(float, x):
+        if not math.isfinite(v):
+            raise ValueError(f"coordinate {v} is not finite")
+        ratios.append(v.as_integer_ratio())
+    den = max((d for _, d in ratios), default=1)
+    return [num * (den // d) for num, d in ratios], den
 
 
-SCHUR_SSYT_CUTOFF = 12
+def _bareiss_det(m: list[list[int]]) -> int:
+    """Determinant of a square integer matrix by fraction-free elimination
+    (overwrites m)."""
+    prev = 1
+    for c in range(len(m)):
+        pivot = next((r for r in range(c, len(m)) if m[r][c]), None)
+        if pivot is None:
+            return 0
+        if pivot != c:  # a swap with one row negated keeps the determinant
+            m[c], m[pivot] = m[pivot], [-v for v in m[c]]
+        for r in range(c + 1, len(m)):
+            for j in range(c + 1, len(m)):
+                m[r][j] = (m[r][j] * m[c][c] - m[r][c] * m[c][j]) // prev
+        prev = m[c][c]
+    return prev
 
 
 def schur_polynomial(lam: Partition, x: Sequence[float]) -> float:
-    """Value of the Schur polynomial s_lam at the point x.
+    """Value of the Schur polynomial s_lam at the point x, exact and rounded
+    once: with x_i = a_i / D, s_lam(x) is the integer Jacobi-Trudi
+    determinant det(h_{lam_i-i+j}(a)) divided by D**|lam|.
 
-    Tableau summation below SCHUR_SSYT_CUTOFF, bialternant ratio above it.
-    Returns 0 when the shape is longer than the point (vanishing multiplicity).
+    0 when the shape is longer than the point (vanishing multiplicity);
+    ValueError on a non-finite coordinate.
     """
     if lam.length > len(x):
         return 0.0
-    if lam.size <= SCHUR_SSYT_CUTOFF:
-        return schur_ssyt(lam, x)
-    return schur_bialternant(lam, x)
+    a, den = _dyadic_numerators(x)
+    ell = lam.length
+    h = [0] * ell + [1] + [0] * lam.size  # h[ell + m] = h_m(a); 0 for m < 0
+    for ai in a:
+        for m in range(ell + 1, len(h)):
+            h[m] += ai * h[m - 1]
+    jt = [[h[ell + p - i + j] for j in range(ell)] for i, p in enumerate(lam.parts)]
+    return _bareiss_det(jt) / den ** lam.size
 
 
 # ---------------------------------------------------------------------------

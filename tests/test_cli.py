@@ -220,6 +220,16 @@ def test_sanov_command_checks_envelope(runner):
     assert doc["value"] == pytest.approx(4 / 16)
 
 
+def test_sanov_mass_of_a_large_type_underflows_instead_of_overflowing(runner):
+    """The multinomial coefficient C(1200, 600) is past float range; the mass
+    is one correctly rounded integer division."""
+    res = runner.invoke(main, ["sanov", "--q", "0.5,0.5", "--type", "600,600"])
+    assert res.exit_code == 0, res.output
+    doc = json.loads(res.output)
+    assert doc["value"] == math.comb(1200, 600) / 2 ** 1200
+    assert doc["ok"] is True
+
+
 def test_sanov_length_mismatch_exits_2(runner):
     res = runner.invoke(main, ["sanov", "--q", "0.5,0.5", "--type", "3,1,1"])
     assert res.exit_code == 2
@@ -233,6 +243,15 @@ def test_spectral_dist_csv_sums_to_one(runner):
     rows = [line.split(",") for line in lines[1:]]
     assert sum(float(r[-1]) for r in rows) == pytest.approx(1.0, abs=1e-9)
     assert all(int(r[0]) >= int(r[1]) for r in rows)
+
+
+def test_spectral_dist_of_the_maximally_mixed_ququart_sums_to_one(runner):
+    """Thirteen copies of 1/4: shapes past 12 boxes at equal eigenvalues."""
+    res = runner.invoke(main, ["spectral-dist", "--spec", "0.25,0.25,0.25,0.25",
+                               "--copies", "13"])
+    assert res.exit_code == 0, res.output
+    rows = [line.split(",") for line in res.output.strip().splitlines()[1:]]
+    assert sum(float(r[-1]) for r in rows) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_density_curve_csv_and_joint_mode(runner, tmp_path):
@@ -326,11 +345,12 @@ def test_capacity_command(runner, tmp_path):
     (["toy-xz", "--exact", "-m", "0"], "m must be >= 1"),
     (["toy-xz", "-m", "0"], "m must be >= 1"),
     (["spectral-dist", "--spec", "0.5,0.5", "-n", "-1"], "need n >= 0"),
+    (["spectral-dist", "--spec", "inf,0.5", "-n", "4"], "coordinate inf is not finite"),
     (["qmp", "ortho", "AB", "AC", "BC", "--rank", "0"], "orthogonal-solution count v=0"),
     (["qmp", "check", "AB", "AC", "BC", "--level", "0"], "level n must be >= 1, got 0"),
     (["qmp", "ortho", "AB", "AC", "BC", "--rank", "1", "--level", "0"],
      "level n must be >= 1, got 0"),
-], ids=["toy-xz-exact", "toy-xz", "spectral-dist", "qmp-ortho", "qmp-check", "qmp-ortho-level"])
+], ids=["toy-xz-exact", "toy-xz", "spectral-dist", "spectral-dist-inf", "qmp-ortho", "qmp-check", "qmp-ortho-level"])
 def test_library_value_error_is_a_usage_error(tmp_path, args, message):
     """Exit 1 means a certified violation; a rejected input exits 2."""
     args = [_singlet_pair(tmp_path / f"{a}.json", *a) if a in ("AB", "AC", "BC") else a

@@ -21,7 +21,7 @@ from qrealize.estimation import (
     toy_xz_simulate,
 )
 from qrealize.divergence import multinomial_mass, spectrum_of
-from qrealize.partitions import Partition, partitions_of
+from qrealize.partitions import Partition, partitions_of, specht_dim, weyl_dim
 from qrealize.symmetrizer import isotypic_projector, sym_projector
 from qrealize.tensor import DensityOperator, Operator, haar_random_density, space
 
@@ -69,6 +69,19 @@ def test_spectral_dist_matches_isotypic_projector_trace(d, n):
         p_lam = isotypic_projector(lam, d, n).mat
         want = float(np.real(np.trace(p_lam @ big)))
         assert dist.prob(lam.padded(d)) == pytest.approx(want, abs=1e-10)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize("n", [13, 20, 30])
+def test_spectral_dist_of_the_maximally_mixed_state(d, n):
+    """At rho = 1/d, p(lambda) = f_lambda m_lambda(d) / d^n exactly; the
+    shapes past 12 boxes and the repeated eigenvalues are where a
+    Vandermonde-ratio evaluation loses the mass."""
+    dist = spectral_dist([1 / d] * d, n)
+    assert sum(p for _, p in dist.support) == pytest.approx(1.0, abs=1e-12)
+    for lam in partitions_of(n, d):
+        want = specht_dim(lam) * weyl_dim(lam, d) / d ** n
+        assert dist.prob(lam.padded(d)) == pytest.approx(want, rel=1e-14)
 
 
 def test_spectral_dist_of_an_operator_reads_its_hermitian_part():

@@ -1,6 +1,7 @@
 """Partition combinatorics, characters, Schur values, double cosets."""
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -20,7 +21,6 @@ from qrealize.partitions import (
     littlewood_richardson,
     mn_character,
     partitions_of,
-    schur_bialternant,
     schur_polynomial,
     schur_ssyt,
     specht_dim,
@@ -168,31 +168,54 @@ def test_power_sums_expand_in_schur_basis(n, d):
         assert got == pytest.approx(want, rel=1e-9)
 
 
+def exact_schur(lam, x):
+    """The Schur value as an exact Fraction tableau sum, rounded once."""
+    return float(schur_ssyt(lam, [Fraction(v) for v in x]))
+
+
+SCHUR_SHAPES = [(2,), (1, 1), (2, 1), (3, 1), (2, 2), (4, 2, 1), (8, 4, 2)]
+
+
 def test_schur_routes_agree():
+    """schur_polynomial is the exact value rounded once, bit for bit, and
+    the float tableau sum agrees with it to roundoff on positive points."""
     rng = np.random.default_rng(2)
-    shapes = [(2,), (1, 1), (2, 1), (3, 1), (2, 2), (4, 2, 1)]
-    for parts in shapes:
+    for parts in SCHUR_SHAPES:
         lam = Partition(parts)
         for _ in range(5):
             x = rng.uniform(0.1, 2.0, size=3)
-            a = schur_ssyt(lam, x)
-            b = schur_bialternant(lam, x)
-            assert b == pytest.approx(a, rel=1e-7)
+            got = schur_polynomial(lam, x)
+            assert got == exact_schur(lam, x)
+            assert schur_ssyt(lam, x) == pytest.approx(got, rel=1e-13)
+            y = rng.uniform(-1.0, 1.0, size=3)
+            assert schur_polynomial(lam, y) == exact_schur(lam, y)
 
 
-def test_schur_bialternant_near_coincident_points():
-    lam = Partition((3, 1))
-    x = [0.5, 0.5 + 1e-9, 0.25]
-    want = schur_ssyt(lam, x)
-    assert schur_bialternant(lam, x) == pytest.approx(want, rel=1e-5)
+def test_schur_exact_at_near_coincident_and_negative_points():
+    """Equal and near-equal coordinates, where a Vandermonde ratio divides
+    by (almost) zero, and signed coordinates, where tableau terms cancel."""
+    points = [[0.5, 0.5 + 1e-9, 0.25], [1 / 3] * 3, [0.25] * 4,
+              [0.5, -0.5, 0.25], [0.5, -0.5], [-0.7, -0.7, 0.1], [0.6, 0.0, 0.4]]
+    for x in points:
+        for parts in SCHUR_SHAPES:
+            lam = Partition(parts)
+            want = exact_schur(lam, x)
+            assert schur_polynomial(lam, x) == want
+            if min(x) >= 0:
+                assert schur_ssyt(lam, x) == pytest.approx(want, rel=1e-13)
 
 
 def test_schur_at_all_ones_is_weyl_dim():
     for d in (2, 3, 4):
         for n in range(1, 6):
             for lam in partitions_of(n, d):
-                assert schur_polynomial(lam, [1.0] * d) == pytest.approx(
-                    weyl_dim(lam, d), rel=1e-9)
+                assert schur_polynomial(lam, [1.0] * d) == weyl_dim(lam, d)
+
+
+def test_schur_rejects_a_non_finite_coordinate():
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="is not finite"):
+            schur_polynomial(Partition((2, 1)), [0.5, bad])
 
 
 def test_schur_long_shape_vanishes():
