@@ -16,7 +16,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .partitions import Partition, _dyadic_numerators, approx_partition, finite_difference
+from .partitions import Partition, _dyadic_numerators, _int_quotient, approx_partition, \
+    finite_difference
 from .tensor import DensityOperator, as_matrix
 
 
@@ -187,7 +188,8 @@ class SanovCheck(NamedTuple):
 
 def multinomial_mass(q: Sequence[float], lam: Sequence[int]) -> float:
     """Probability of the type lam under n iid draws from q (n = sum lam):
-    with q_i = a_i / D, the integer coeff * prod a_i^lam_i / D^n, rounded once."""
+    with q_i = a_i / D, the integer coeff * prod a_i^lam_i / D^n, rounded once
+    (inf past float range)."""
     lam = [int(v) for v in lam]
     a, den = _dyadic_numerators(q)
     num = math.factorial(sum(lam))
@@ -197,7 +199,7 @@ def multinomial_mass(q: Sequence[float], lam: Sequence[int]) -> float:
         if v and ai <= 0:
             return 0.0
         num *= ai ** v
-    return num / den ** sum(lam)
+    return _int_quotient(num, den ** sum(lam))
 
 
 def sanov_bounds_check(q: Sequence[float], lam: Sequence[int], n: int) -> SanovCheck:

@@ -218,6 +218,15 @@ def _dyadic_numerators(x: Sequence[float]) -> tuple[list[int], int]:
     return [num * (den // d) for num, d in ratios], den
 
 
+def _int_quotient(num: int, den: int) -> float:
+    """num / den for integers, den > 0, rounded once; +-inf when the quotient
+    lies past float range, as IEEE division of floats gives."""
+    try:
+        return num / den
+    except OverflowError:
+        return math.inf if num > 0 else -math.inf
+
+
 def _bareiss_det(m: list[list[int]]) -> int:
     """Determinant of a square integer matrix by fraction-free elimination
     (overwrites m)."""
@@ -252,7 +261,7 @@ def schur_polynomial(lam: Partition, x: Sequence[float]) -> float:
         for m in range(ell + 1, len(h)):
             h[m] += ai * h[m - 1]
     jt = [[h[ell + p - i + j] for j in range(ell)] for i, p in enumerate(lam.parts)]
-    return _bareiss_det(jt) / den ** lam.size
+    return _int_quotient(_bareiss_det(jt), den ** lam.size)
 
 
 # ---------------------------------------------------------------------------

@@ -160,9 +160,11 @@ def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _apply_product_power(mat: np.ndarray, n: int, vec: np.ndarray) -> np.ndarray:
-    """(mat^{tensor n}) @ vec without forming the big matrix."""
+    """(mat^{tensor n}) @ vec without forming the big matrix, in the dtype
+    numpy promotes ``mat`` and ``vec`` to: a real matrix on a real vector
+    stays in real arithmetic."""
     d = mat.shape[0]
-    v = np.asarray(vec, dtype=np.complex128).reshape(d, -1)
+    v = np.asarray(vec).reshape(d, -1)
     for _ in range(n):
         # act on the leading copy, then rotate it to the back; after n steps
         # every copy has been hit once and the axes are in order again
@@ -261,6 +263,14 @@ def _swap_blocks(h: np.ndarray, ctx_dims: tuple[int, ...], n: int) -> list[np.nd
     return blocks
 
 
+def _hermitian_real(a: np.ndarray) -> np.ndarray:
+    """The Hermitian average of a marginal's matrix, as a real array when
+    its imaginary part vanishes: the one rule by which both solver paths
+    tell a real marginal from a complex one."""
+    a = (a + a.conj().T) / 2
+    return a if a.imag.any() else a.real
+
+
 def _power_blocks(mats: Sequence[np.ndarray], ctx_dims: tuple[int, ...], n: int
                   ) -> list[np.ndarray]:
     """The blocks ``_swap_blocks`` takes from rho^{x n}, rho = mats[0] x ...
@@ -272,8 +282,7 @@ def _power_blocks(mats: Sequence[np.ndarray], ctx_dims: tuple[int, ...], n: int
     (``_swap_blocks`` of rho_i x rho_i) with rho^{x (n-2)} for copies 3..n.
     Each factor is Hermitian-averaged, so every block is exactly Hermitian;
     real marginals give real blocks."""
-    mats = [(a + a.conj().T) / 2 for a in mats]
-    mats = [a if a.imag.any() else a.real for a in mats]
+    mats = [_hermitian_real(a) for a in mats]
     if n == 1:
         return [reduce(_kron, mats)]
     two = [_swap_blocks(_kron(a, a), (d,), 2) for a, d in zip(mats, ctx_dims)]
@@ -333,19 +342,28 @@ def _min_gap(ws: WiringSum, mats: Sequence[np.ndarray], n: int, *,
     dimension alone picks the solver.  Up to ``_DENSE_EIG_FAST`` its real
     matrix goes to ``_dense_gap``, one LAPACK solve per sector of the
     per-context swap of copies 1 and 2.  Above that, Lanczos runs on the
-    full kept space.  A non-finite Lanczos result raises ``ArithmeticError``."""
+    full kept space, in float64 when every marginal is real after the
+    Hermitian average (``_hermitian_real``) and in complex128 otherwise.
+    For real marginals the operator is real symmetric, and its minimum is
+    reached at a real vector, so a real Krylov space loses nothing.  A
+    non-finite Lanczos result raises ``ArithmeticError``."""
     big = ws.layout.out_dim
     if big <= _DENSE_EIG_FAST:
         return _dense_gap(ws.to_matrix(budget), mats, n, lhs_scale)
 
-    rho_m = reduce(np.kron, mats)
+    herm = [_hermitian_real(a) for a in mats]
+    real = not any(np.iscomplexobj(a) for a in herm)
+    # complex marginals enter as given: only the real path needs the
+    # averaged matrix, to be exactly real
+    rho_m = reduce(np.kron, herm if real else mats)
 
     def matvec(v):
         out = ws.apply(v)
         out -= lhs_scale * _apply_product_power(rho_m, n, v)
         return out
 
-    lam, vec = lanczos_min_eig(matvec, big, budget=budget)
+    lam, vec = lanczos_min_eig(matvec, big, budget=budget,
+                               dtype=np.float64 if real else np.complex128)
     if not math.isfinite(lam):
         raise ArithmeticError(f"Lanczos returned a non-finite eigenvalue {lam}")
     return lam, vec
@@ -416,8 +434,11 @@ def hierarchy_check(state: MProductState, n: int, *, tol: Tolerances = TOL,
     and 2 (four blocks of 100, 60, 60 and 36 on the AB, BC chain at n = 2).
     Each block is a product of contiguous ranges in one reordering of the
     kept space, and the tensor power's blocks are Kronecker products of
-    per-context two-copy blocks, real for real marginals; larger kept
-    dimensions run Lanczos.
+    per-context two-copy blocks; larger kept dimensions run Lanczos.  Real
+    marginals (real after the Hermitian average) run in real arithmetic on
+    both paths: real blocks on the dense one, a real start vector, basis,
+    wiring-sum matmul and product power on the Lanczos one, whose witness
+    then has zero imaginary part.
     """
     return _check(state, 1, n, tol, budget)
 

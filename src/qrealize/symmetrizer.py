@@ -332,22 +332,26 @@ class WiringSum:
         return order, blocks
 
     def apply(self, vec: np.ndarray) -> np.ndarray:
+        """The sum applied to ``vec``: float64 for a real vector, complex128
+        for a complex one.  The blocks are real, so a real vector runs one
+        matmul column per block and a complex one two, its (re, im) pairs."""
         order, blocks = self._order, self._blocks
         big = self.layout.out_dim
-        v = np.asarray(vec, dtype=np.complex128).reshape(-1)
+        v = np.asarray(vec)
+        dtype = np.complex128 if np.iscomplexobj(v) else np.float64
+        v = v.astype(dtype, copy=False).reshape(-1)
         if v.shape[0] != big:
             raise ValueError(f"vector length {v.shape[0]} != layout dimension {big}")
-        # real blocks act on the (re, im) pairs of the gathered vector
-        g = v[order].view(np.float64).reshape(big, 2)
+        g = v[order].view(np.float64).reshape(big, -1)
         h = np.empty_like(g)
         lo = 0
         for b in blocks:
             count, k, _ = b.shape
             hi = lo + count * k
-            np.matmul(b, g[lo:hi].reshape(count, k, 2), out=h[lo:hi].reshape(count, k, 2))
+            np.matmul(b, g[lo:hi].reshape(count, k, -1), out=h[lo:hi].reshape(count, k, -1))
             lo = hi
-        out = np.empty(big, dtype=np.complex128)
-        out[order] = h.view(np.complex128).reshape(-1)
+        out = np.empty(big, dtype=dtype)
+        out[order] = h.view(dtype).reshape(-1)
         return out
 
     def to_matrix(self, budget: Budgets = BUDGET) -> np.ndarray:

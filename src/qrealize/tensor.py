@@ -357,6 +357,7 @@ def lanczos_min_eig(
     tol: float = 1e-9,
     seed: int = 7,
     budget: Budgets = BUDGET,
+    dtype: type = np.complex128,
 ) -> tuple[float, np.ndarray]:
     """Smallest eigenvalue of a Hermitian operator via restarted Lanczos.
 
@@ -372,17 +373,31 @@ def lanczos_min_eig(
     feasibility verdict needs.  Stops when the Ritz residual drops below
     ``tol`` times the observed spectral spread, or when restarts stop
     improving the estimate.  ``dim`` is checked against ``budget.matvec_dim``.
+
+    ``dtype`` is the arithmetic of the Krylov space.  With ``np.float64``
+    the operator must be real symmetric and map real vectors to real
+    vectors; the start vector, restart vectors and basis are then real,
+    which halves the work and loses nothing, since a real symmetric
+    operator reaches its minimum at a real vector.  The returned vector is
+    complex128 either way (zero imaginary part on the real path).
     """
     if dim > budget.matvec_dim:
         raise ResourceBudgetError(f"matrix-free dimension {dim} exceeds cap {budget.matvec_dim}")
     block = max(4, min(block, dim))
     rng = np.random.default_rng(seed)
-    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    real = np.dtype(dtype) == np.float64
+
+    def noise() -> np.ndarray:
+        if real:
+            return rng.standard_normal(dim)
+        return rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+
+    v = noise()
     v /= np.linalg.norm(v)
     spread = 1.0
     best_theta = math.inf
     best_vec = v
-    basis = np.empty((block, dim), dtype=np.complex128)
+    basis = np.empty((block, dim), dtype=v.dtype)
     for cycle in range(cycles):
         alphas: list[float] = []
         betas: list[float] = []
@@ -434,7 +449,7 @@ def lanczos_min_eig(
             break
         if steps < block and not improved:
             # Krylov space closed without progress: restart from fresh noise
-            v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+            v = noise()
             coeff = np.vdot(y, v)
             v = v - coeff * y
             v /= np.linalg.norm(v)
@@ -442,7 +457,7 @@ def lanczos_min_eig(
         if cycle > 0 and not improved:
             break
         v = y
-    return best_theta, best_vec
+    return best_theta, best_vec.astype(np.complex128, copy=False)
 
 
 def haar_random_pure(dim: int, seed) -> PureState:

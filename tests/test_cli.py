@@ -230,6 +230,15 @@ def test_sanov_mass_of_a_large_type_underflows_instead_of_overflowing(runner):
     assert doc["ok"] is True
 
 
+def test_sanov_mass_past_float_range_exits_2(runner):
+    """A mass past float range rounds to inf and is rejected by the JSON
+    writer: exit 2, not an OverflowError traceback with exit 1."""
+    res = runner.invoke(main, ["sanov", "--q", "1e300,1", "--type", "2,0"])
+    assert res.exit_code == 2, res.output
+    assert isinstance(res.exception, SystemExit)
+    assert "non-finite" in res.output
+
+
 def test_sanov_length_mismatch_exits_2(runner):
     res = runner.invoke(main, ["sanov", "--q", "0.5,0.5", "--type", "3,1,1"])
     assert res.exit_code == 2
@@ -252,6 +261,15 @@ def test_spectral_dist_of_the_maximally_mixed_ququart_sums_to_one(runner):
     assert res.exit_code == 0, res.output
     rows = [line.split(",") for line in res.output.strip().splitlines()[1:]]
     assert sum(float(r[-1]) for r in rows) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_spectral_dist_past_float_range_exits_2(runner):
+    """Schur values past float range round to inf and fail the mass check:
+    exit 2, not an OverflowError traceback with exit 1."""
+    res = runner.invoke(main, ["spectral-dist", "--spec", "1e300,1", "-n", "2"])
+    assert res.exit_code == 2, res.output
+    assert isinstance(res.exception, SystemExit)
+    assert "distribution mass inf is not 1" in res.output
 
 
 def test_density_curve_csv_and_joint_mode(runner, tmp_path):

@@ -194,6 +194,10 @@ def test_multinomial_masses_sum_to_one():
         assert total == pytest.approx(1.0, abs=1e-12)
 
 
+def test_multinomial_mass_past_float_range_is_infinite():
+    assert multinomial_mass([1e300, 1.0], [2, 0]) == math.inf
+
+
 def test_sanov_bounds_hold_on_every_type():
     rng = np.random.default_rng(2)
     for d, n in [(2, 8), (3, 6)]:

@@ -218,6 +218,14 @@ def test_schur_rejects_a_non_finite_coordinate():
             schur_polynomial(Partition((2, 1)), [0.5, bad])
 
 
+def test_schur_value_past_float_range_is_infinite():
+    """The exact quotient rounds to +-inf past float range, as IEEE
+    division does, instead of raising OverflowError."""
+    assert schur_polynomial(Partition((2,)), [1e300, 1.0]) == math.inf
+    assert schur_polynomial(Partition((3,)), [-1e300, 1.0]) == -math.inf
+    assert schur_polynomial(Partition((1,)), [-1e300, 1.0]) == -1e300 + 1.0
+
+
 def test_schur_long_shape_vanishes():
     assert schur_polynomial(Partition((1, 1, 1)), [0.5, 0.5]) == 0.0
 

@@ -129,13 +129,27 @@ def test_hierarchy_violation_persists_at_level_two():
     assert cert.gap < -1e-3
 
 
-def _lanczos_gap(st, n):
-    """Lanczos on the matvec ``_min_gap`` builds for a hierarchy check."""
-    ws = qmp_mod._scenario_sum(st.scenario, n, BUDGET)
+def _lanczos_gap(st, n, v=1):
+    """Lanczos in complex arithmetic on the matvec ``_min_gap`` builds for
+    ``ortho_bound_check(st, v, n)`` (``hierarchy_check`` at v = 1)."""
+    return _complex_lanczos(st, n, v)[0]
+
+
+def _complex_lanczos(st, n, v=1):
+    """(gap, witness, matvec) of the complex-arithmetic Lanczos solve that
+    ``_min_gap`` runs for complex marginals: the reference the real solve
+    of real marginals is checked against."""
+    ws = qmp_mod._scenario_sum(st.scenario, n, BUDGET, v)
     rho = st.product_matrix()
-    lam, _ = lanczos_min_eig(lambda v: ws.apply(v) - _apply_product_power(rho, n, v),
-                             st.scenario.kept_dim ** n)
-    return lam
+    scale = float(v) ** (n * st.scenario.m)
+
+    def matvec(x):
+        out = ws.apply(x)
+        out -= scale * _apply_product_power(rho, n, x)
+        return out
+
+    lam, vec = lanczos_min_eig(matvec, st.scenario.kept_dim ** n)
+    return lam, vec, matvec
 
 
 def test_hierarchy_methods_agree():
@@ -403,10 +417,14 @@ def test_level_below_one_is_rejected_at_entry(monkeypatch, check, n):
         check(triple_product(SINGLET_RHO), n)
 
 
-@pytest.mark.parametrize("p,matvecs", [(0.55, 130), (0.8, 65)])
+@pytest.mark.parametrize("p,matvecs", [(0.55, 130), (0.8, 65), (0.5, 130), (0.599, 130),
+                                       (0.65, 65), (0.99, 65)])
 def test_lanczos_matvec_count_on_planted_triangle(monkeypatch, p, matvecs):
     """Noisy singlets below p ~ 0.6 need a second Lanczos cycle; the count
-    of matvecs per check must not move when the matvec gets faster."""
+    of matvecs per check must not move when the matvec gets faster.  The
+    boundary lies in [0.6, 0.65) (between 0.635 and 0.64 with real
+    arithmetic, between 0.61 and 0.615 with complex), the band the
+    benchmark's planted inputs leave out."""
     calls = []
     lanczos = qmp_mod.lanczos_min_eig
 
@@ -420,6 +438,61 @@ def test_lanczos_matvec_count_on_planted_triangle(monkeypatch, p, matvecs):
     cert = hierarchy_check(triple_product(p * SINGLET_RHO + (1 - p) * np.eye(4) / 4), 2)
     assert cert.verdict == VERDICT_VIOLATED
     assert len(calls) == matvecs
+
+
+def _dtype_of_lanczos(monkeypatch):
+    """Record the ``dtype`` keyword of every Lanczos call ``_min_gap`` makes."""
+    seen = []
+    lanczos = qmp_mod.lanczos_min_eig
+
+    def recording(apply_h, dim, **kw):
+        seen.append(kw.get("dtype"))
+        return lanczos(apply_h, dim, **kw)
+
+    monkeypatch.setattr(qmp_mod, "lanczos_min_eig", recording)
+    return seen
+
+
+@pytest.mark.parametrize("p", [0.55, 0.7, 0.9])
+def test_real_marginals_run_lanczos_in_real_arithmetic(monkeypatch, p):
+    """Planted triangle marginals are real: Lanczos runs in float64, and
+    the gap and verdict match the complex-arithmetic solve to 1e-13.  The
+    witness is real, and its Rayleigh quotient under the complex matvec
+    reproduces the gap."""
+    st = triple_product(p * SINGLET_RHO + (1 - p) * np.eye(4) / 4)
+    seen = _dtype_of_lanczos(monkeypatch)
+    cert = hierarchy_check(st, 2)
+    assert seen == [np.float64]
+    want, _, matvec = _complex_lanczos(st, 2)
+    assert cert.gap == pytest.approx(want, abs=1e-13)
+    assert cert.verdict == VERDICT_VIOLATED and want < -TOL.psd
+    w = cert.witness
+    assert w.dtype == np.complex128 and not w.imag.any()
+    assert np.linalg.norm(w) == pytest.approx(1.0, abs=1e-12)
+    assert np.vdot(w, matvec(w)).real == pytest.approx(cert.gap, abs=1e-13)
+
+
+@pytest.mark.parametrize("seed", [8, 9])
+def test_complex_marginals_keep_complex_lanczos_bit_for_bit(monkeypatch, seed):
+    """Haar triangle marginals are complex: Lanczos runs in complex128 and
+    the gap is bit-identical to the complex-arithmetic solve."""
+    st = marginals_of(haar_random_pure_on(TRIPLE.joint, seed), TRIPLE)
+    seen = _dtype_of_lanczos(monkeypatch)
+    cert = hierarchy_check(st, 2)
+    assert seen == [np.complex128]
+    assert cert.gap == _lanczos_gap(st, 2)
+
+
+@pytest.mark.parametrize("p,verdict", [(0.7, VERDICT_CONSISTENT), (0.9, VERDICT_VIOLATED)])
+def test_ortho_bound_on_real_marginals_keeps_its_verdict(p, verdict):
+    """The v = 2 band sum on planted triangle marginals: the real solve
+    gives the complex solve's gap to 1e-12 and the same verdict."""
+    st = triple_product(p * SINGLET_RHO + (1 - p) * np.eye(4) / 4)
+    cert = ortho_bound_check(st, 2, 2)
+    want = _lanczos_gap(st, 2, 2)
+    assert cert.verdict == verdict
+    assert (want < -TOL.psd) == cert.violated
+    assert cert.gap == pytest.approx(want, abs=1e-12)
 
 
 def test_hierarchy_check_passes_its_budget_to_the_eigensolver():

@@ -376,6 +376,19 @@ def test_compiled_apply_matches_term_by_term_sum_on_triangle_level_two():
         assert np.max(np.abs(ws.apply(v) - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
 
 
+def test_apply_on_a_real_vector_is_real_and_matches_the_complex_apply():
+    """A real vector runs one matmul column per block and comes back
+    float64, equal to the real part of the complex apply of the same vector."""
+    rng = np.random.default_rng(32)
+    for ws in _wiring_sums(TRIANGLE, 2):
+        v = rng.normal(size=4096)
+        got = ws.apply(v)
+        want = ws.apply(v.astype(np.complex128))
+        assert got.dtype == np.float64
+        assert not want.imag.any()
+        assert np.max(np.abs(got - want.real)) <= 1e-14 * np.max(np.abs(want))
+
+
 @pytest.mark.parametrize("scen,n", [(TRIANGLE, 1), (CHAIN, 2)])
 def test_compiled_to_matrix_matches_term_by_term_sum(scen, n):
     for ws in _wiring_sums(scen, n):

@@ -235,6 +235,27 @@ def test_lanczos_min_eig_matches_dense(dim):
     assert np.linalg.norm(h @ vec - lam * vec) < 1e-6
 
 
+@pytest.mark.parametrize("dim", [16, 100, 257])
+def test_real_lanczos_min_eig_matches_dense(dim):
+    """In float64 the start vector, basis and Ritz vector are real; the
+    returned vector is complex128 with zero imaginary part."""
+    rng = np.random.default_rng(dim + 2)
+    m = rng.normal(size=(dim, dim))
+    h = (m + m.T) / 2
+    want = np.linalg.eigvalsh(h)[0]
+    seen = []
+
+    def matvec(v):
+        seen.append(v.dtype)
+        return h @ v
+
+    lam, vec = lanczos_min_eig(matvec, dim, dtype=np.float64)
+    assert set(seen) == {np.dtype(np.float64)}
+    assert vec.dtype == np.complex128 and not vec.imag.any()
+    assert lam == pytest.approx(want, abs=1e-8)
+    assert np.linalg.norm(h @ vec - lam * vec) < 1e-6
+
+
 def test_lanczos_never_undershoots_on_psd():
     """Rayleigh quotients cannot drop below the true minimum, so a PSD
     operator must never produce a negative estimate beyond roundoff."""
