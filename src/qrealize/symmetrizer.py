@@ -13,9 +13,10 @@ Three layers live here:
   permutation of the kept wires).  A ``WiringSum`` is a read-only table of
   such terms, merged, with real coefficients.  Each term keeps the level
   histogram of every orbit of the kept axes, so the sum is block diagonal
-  over those sectors; its constructor compiles it into stacked dense real
-  blocks, one array per block size, so
-  each matvec is one gather, a few batched real matmuls and one scatter;
+  over those sectors, and sectors related by relabeling the levels of an
+  orbit share one block; its constructor compiles one stacked dense real
+  block per relabeling class, so each matvec is one gather, a few batched
+  real matmuls and one scatter;
 
 * the biriffle evaluation of Tr(symmetric-average (X_1 x ... x X_k)) as a sum
   over double cosets of S_n^k in S_{nk}, with a full-permutation-sum oracle.
@@ -225,7 +226,7 @@ def traced_permutation(layout: SlotLayout, perm: Sequence[int]) -> WiringOperato
     return WiringOperator(scalar, sigma, layout.axis_dims)
 
 
-_COMPILE_ROWS = 64          # rows per chunk while filling the sector blocks
+_COMPILE_ROWS = 64          # rows per chunk while filling the class blocks
 
 
 def _axis_orbits(nax: int, perms) -> list[list[int]]:
@@ -257,13 +258,18 @@ class WiringSum:
     permutes the axes inside each orbit of the axes under all the terms, so
     it keeps the level histogram of each orbit (how many of its axes sit at
     each level).  A sector is one choice of those histograms, and the sum is
-    exactly block diagonal over sectors.  The constructor compiles the terms
-    into that block form: a permutation ``order`` of the kept-space indices
-    that groups them by block size, then by sector, and one stacked
-    ``(count, k, k)`` float64 array per block size k.  A matvec is then one
-    gather, one real matmul per block size and one scatter.  ``to_matrix``
-    returns the sum as a float64 matrix: every coefficient and every entry
-    of a permutation is real.
+    exactly block diagonal over sectors.  Every term also commutes with one
+    permutation of levels applied to every axis of an orbit (for qubits,
+    X on each axis), which carries one sector onto another with the same
+    block.  Sectors whose histograms agree up to such relabelings form a
+    class, and the constructor compiles one block per class: a read-only
+    permutation ``order`` of the kept-space indices, grouped by block size
+    k and number m of sectors in the class, then by class, position in the
+    block and sector, and one read-only stacked ``(count, k, k)`` float64
+    array per group.  A matvec is then one gather, one real matmul per
+    group (all m sectors of a class as columns) and one scatter.
+    ``to_matrix`` returns the sum as a float64 matrix: every coefficient and
+    every entry of a permutation is real.
     """
 
     def __init__(self, layout: SlotLayout, terms: Mapping[tuple[int, ...], float]):
@@ -281,17 +287,23 @@ class WiringSum:
             table[tuple(perm)] = c.real
         self.layout = layout
         self.terms = MappingProxyType(table)
-        self._order, self._blocks = self._compile()
+        self._order, self._blocks, self._mults = self._compile()
 
-    def _compile(self) -> tuple[np.ndarray, list[np.ndarray]]:
-        """(order, blocks) of the merged sum.
+    def _compile(self) -> tuple[np.ndarray, list[np.ndarray], list[int]]:
+        """(order, blocks, mults) of the merged sum: one block per
+        relabeling class, and the number m of sectors per class of each group.
 
         An index's sector is named by its multi-index with the levels inside
-        each orbit sorted.  Row r of the permutation with content-of-axis-a
-        -> axis perm[a] reads source index sum_a strides[inv(perm)[a]] * r_a;
-        that entry lands in the block of r's sector, at the positions of r
-        and of the source inside the sector.  Each block size is filled by
-        ``np.bincount`` over row chunks, so transients stay chunk-sized.
+        each orbit sorted.  Its canonical image relabels the levels of each
+        orbit by descending count, ties by level; that image lies in its
+        class's canonical sector, and the index takes the image's position
+        there.  Only canonical rows are compiled: row r of the permutation
+        with content-of-axis-a -> axis perm[a] reads source index
+        sum_a strides[inv(perm)[a]] * r_a, and that entry lands in the block
+        of r's class, at the positions of r and of the source.  Each group
+        is filled by ``np.bincount`` over row chunks, so transients stay
+        chunk-sized.  The class block of a group holding m sectors per class
+        serves the m slots of ``order`` at each position.
         """
         dims = self.layout.axis_dims
         big = self.layout.out_dim
@@ -304,38 +316,55 @@ class WiringSum:
 
         index = np.arange(big)
         key = np.zeros(big, dtype=np.int64)
+        canon = np.zeros(big, dtype=np.int64)
         for orbit in _axis_orbits(len(dims), self.terms):
-            key += strides[orbit] @ np.sort(levels(index, orbit), axis=0)
-        _, sector, size = np.unique(key, return_inverse=True, return_counts=True)
-        size = size[sector]
-        order = np.lexsort((key, size))
-        first = np.ones(big, dtype=bool)
-        first[1:] = key[order[1:]] != key[order[:-1]]
+            lv = levels(index, orbit)
+            count = (lv == np.arange(dims[orbit[0]])[:, None, None]).sum(axis=1)
+            rank = np.argsort(np.argsort(-count, axis=0, kind="stable"), axis=0)
+            key += strides[orbit] @ np.sort(lv, axis=0)
+            canon += strides[orbit] @ np.take_along_axis(rank, lv, axis=0)
+        cls = key[canon]
+        by_key = np.argsort(key, kind="stable")
+        sorted_key = key[by_key]
         pos = np.empty(big, dtype=np.int64)
-        pos[order] = index - np.maximum.accumulate(np.where(first, index, 0))
+        pos[by_key] = index - np.searchsorted(sorted_key, sorted_key)
+        pos = pos[canon]
+        _, sector, size = np.unique(key, return_inverse=True, return_counts=True)
+        _, cls_id, cls_size = np.unique(cls, return_inverse=True, return_counts=True)
+        k = size[sector]
+        m = cls_size[cls_id] // k
+        order = np.lexsort((key, pos, cls, m, k))
+        rows = order[canon[order] == order]
 
         coeffs = np.fromiter(self.terms.values(), dtype=np.float64, count=len(self.terms))
         q = np.array([strides[np.argsort(p)] for p in self.terms],
                      dtype=np.int64).reshape(len(self.terms), len(dims))
-        sizes, lows = np.unique(size[order], return_index=True)
-        blocks = []
-        for k, lo, hi in zip(sizes, lows, np.append(lows[1:], big)):
-            flat = np.empty((hi - lo) * k)
-            for r0 in range(lo, hi, _COMPILE_ROWS):
-                r1 = min(r0 + _COMPILE_ROWS, hi)
-                src = (q @ levels(order[r0:r1], slice(None))).T    # (rows, terms)
-                cell = np.arange(r1 - r0)[:, None] * k + pos[src]
-                flat[(r0 - lo) * k:(r1 - lo) * k] = np.bincount(
+        groups, group_rows = np.unique(np.stack([k[rows], m[rows]]), axis=1,
+                                       return_counts=True)
+        blocks, mults = [], []
+        lo = 0
+        for (kk, mm), nrows in zip(groups.T, group_rows):
+            flat = np.empty(nrows * kk)
+            for r0 in range(0, nrows, _COMPILE_ROWS):
+                r1 = min(r0 + _COMPILE_ROWS, nrows)
+                src = (q @ levels(rows[lo + r0:lo + r1], slice(None))).T  # (rows, terms)
+                cell = np.arange(r1 - r0)[:, None] * kk + pos[src]
+                flat[r0 * kk:r1 * kk] = np.bincount(
                     cell.ravel(), np.broadcast_to(coeffs, src.shape).ravel(),
-                    minlength=(r1 - r0) * k)
-            blocks.append(flat.reshape(-1, k, k))
-        return order, blocks
+                    minlength=(r1 - r0) * kk)
+            blocks.append(flat.reshape(-1, kk, kk))
+            mults.append(int(mm))
+            lo += nrows
+        for a in (order, *blocks):
+            a.setflags(write=False)
+        return order, blocks, mults
 
     def apply(self, vec: np.ndarray) -> np.ndarray:
         """The sum applied to ``vec``: float64 for a real vector, complex128
         for a complex one.  The blocks are real, so a real vector runs one
-        matmul column per block and a complex one two, its (re, im) pairs."""
-        order, blocks = self._order, self._blocks
+        matmul column per sector of a class and a complex one two, its
+        (re, im) pairs."""
+        order = self._order
         big = self.layout.out_dim
         v = np.asarray(vec)
         dtype = np.complex128 if np.iscomplexobj(v) else np.float64
@@ -345,10 +374,12 @@ class WiringSum:
         g = v[order].view(np.float64).reshape(big, -1)
         h = np.empty_like(g)
         lo = 0
-        for b in blocks:
+        for b, m in zip(self._blocks, self._mults):
             count, k, _ = b.shape
-            hi = lo + count * k
-            np.matmul(b, g[lo:hi].reshape(count, k, -1), out=h[lo:hi].reshape(count, k, -1))
+            hi = lo + count * k * m
+            cols = m * g.shape[1]
+            np.matmul(b, g[lo:hi].reshape(count, k, cols),
+                      out=h[lo:hi].reshape(count, k, cols))
             lo = hi
         out = np.empty(big, dtype=dtype)
         out[order] = h.view(dtype).reshape(-1)
@@ -357,14 +388,13 @@ class WiringSum:
     def to_matrix(self, budget: Budgets = BUDGET) -> np.ndarray:
         big = self.layout.out_dim
         budget.check_dense(big, "dense wiring sum")
-        order, blocks = self._order, self._blocks
         out = np.zeros((big, big))
         lo = 0
-        for b in blocks:
+        for b, m in zip(self._blocks, self._mults):
             count, k, _ = b.shape
-            idx = order[lo:lo + count * k].reshape(count, k)
-            out[idx[:, :, None], idx[:, None, :]] = b
-            lo += count * k
+            idx = self._order[lo:lo + count * k * m].reshape(count, k, 1, m)
+            out[idx, idx.transpose(0, 2, 1, 3)] = b[..., None]
+            lo += count * k * m
         return out
 
 

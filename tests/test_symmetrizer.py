@@ -7,6 +7,7 @@ import pytest
 
 from qrealize.config import BUDGET, ResourceBudgetError
 from qrealize.partitions import Partition, double_cosets, partitions_of
+from qrealize.qmp import _wiring_sum
 from qrealize.symmetrizer import (
     SlotLayout,
     WiringOperator,
@@ -470,3 +471,27 @@ def test_compiled_blocks_with_a_qutrit_label(rank):
               else (lambda t: 1.0 / math.factorial(nslots)))
     ws = traced_permutation_sum(layout, weight)
     _assert_compiled_matches_terms(ws, np.random.default_rng(43))
+
+
+@pytest.mark.parametrize("scen,v,entries", [(TRIANGLE, 1, 148_877), (TRIANGLE, 2, 148_877),
+                                            (CHAIN, 1, 1_325)])
+def test_compiled_blocks_store_one_block_per_relabeling_class(scen, v, entries):
+    """Sectors that a level permutation on every axis of an orbit carries
+    onto one another share one stored block: on the level-2 triangle the
+    125 weight sectors (343,000 entries) fall into 27 classes."""
+    layout = scenario_layout(*scen, 2)
+    ws = traced_permutation_sum(layout, isotypic_band_weight(layout.nslots, v))
+    assert sum(b.size for b in ws._blocks) == entries
+
+
+def test_compiled_arrays_are_read_only():
+    """A cached sum cannot change after it is compiled: its gather order
+    and its blocks refuse in-place writes."""
+    ws = _wiring_sum(*CHAIN, 2, 1)
+    assert not ws._order.flags.writeable
+    with pytest.raises(ValueError):
+        ws._order[0] = 0
+    for b in ws._blocks:
+        assert not b.flags.writeable
+        with pytest.raises(ValueError):
+            b[0, 0, 0] += 1.0
