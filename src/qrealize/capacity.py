@@ -5,13 +5,14 @@ A torus of rank r acts diagonally with integer weight vectors; the capacity
 of a vector is the infimum of the transformed norm over the group, reached
 by minimizing the convex function g(x) = sum_w e^{w.x} |v_w|^2.  Capacity
 vanishes exactly when the convex hull of the supported weights misses the
-origin, which hull_membership decides exactly for small integer data.
+origin, which hull_membership decides exactly in rational arithmetic.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Sequence
@@ -62,9 +63,20 @@ class TorusRep:
         return np.array(rows, dtype=np.int64)
 
 
+def _int_weight(w) -> tuple[int, ...]:
+    """One weight as a tuple of ints; a fractional coordinate is a ValueError."""
+    coords = tuple(w) if hasattr(w, "__len__") else (w,)
+    try:
+        ints = tuple(int(c) for c in coords)
+    except (TypeError, ValueError, OverflowError):
+        ints = None
+    if ints != coords:
+        raise ValueError(f"weight {list(coords)} is not an integer vector")
+    return ints
+
+
 def torus_rep(weights: Sequence[Sequence[int]], block_sizes: Sequence[int] | None = None) -> TorusRep:
-    ws = tuple(tuple(int(c) for c in w) if hasattr(w, "__len__") else (int(w),)
-               for w in weights)
+    ws = tuple(_int_weight(w) for w in weights)
     rank = len(ws[0]) if ws else 1
     sizes = tuple(int(b) for b in block_sizes) if block_sizes else (1,) * len(ws)
     return TorusRep(rank, ws, sizes)
@@ -112,123 +124,89 @@ class HullResult(NamedTuple):
 
 
 def _exact_hull_feasibility(weights, target) -> HullResult:
-    # phase-1 simplex over the rationals on: sum c_i = 1, sum c_i w_i = t, c >= 0
-    ncols = len(weights)
-    nrows = len(target) + 1
-    rows = []
-    for i in range(nrows):
-        if i < len(target):
-            arow = [Fraction(w[i]) for w in weights]
-            rhs = Fraction(target[i])
-        else:
-            arow = [Fraction(1)] * ncols
-            rhs = Fraction(1)
-        if rhs < 0:
-            arow = [-a for a in arow]
-            rhs = -rhs
-            sign = -1
-        else:
-            sign = 1
-        rows.append(([*arow, *(Fraction(int(k == i)) for k in range(nrows)), rhs], sign))
-    tab = [r for r, _ in rows]
-    signs = [s for _, s in rows]
+    # Phase-1 simplex on sum c_i w_i = t, sum c_i = 1, c >= 0, one artificial
+    # per row, Bland's rules.  Scaling every row by the common denominator of
+    # t makes the tableau integral, and Edmonds' fraction-free pivot keeps it
+    # so: each entry is the rational tableau's entry times det, the
+    # determinant of the current basis, which stays positive, and every
+    # update divides exactly by the previous det.
+    den = math.lcm(*(t.denominator for t in target))
+    ncols, nrows = len(weights), len(target) + 1
+    tab, signs = [], []
+    for i, rhs in enumerate([*target, 1]):
+        arow = [w[i] for w in weights] if i < len(target) else [1] * ncols
+        sign = -1 if rhs < 0 else 1
+        signs.append(sign)
+        tab.append([sign * den * a for a in arow] + [int(k == i) for k in range(nrows)]
+                   + [int(sign * den * rhs)])
+    tab.append([sum(col) for col in zip(*tab)])    # the phase-1 objective row
     basis = [ncols + i for i in range(nrows)]
-
-    def objective():
-        out = [Fraction(0)] * (ncols + nrows + 1)
-        for i, b in enumerate(basis):
-            if b >= ncols:
-                for j, val in enumerate(tab[i]):
-                    out[j] += val
-        return out
-
+    det = 1
     while True:
-        obj = objective()
-        enter = next((j for j in range(ncols) if obj[j] > 0), None)
+        enter = next((j for j in range(ncols) if tab[-1][j] > 0), None)
         if enter is None:
             break
         pivot_row, best = None, None
         for i in range(nrows):
             if tab[i][enter] > 0:
-                ratio = tab[i][-1] / tab[i][enter]
+                ratio = Fraction(tab[i][-1], tab[i][enter])
                 if best is None or ratio < best or (ratio == best and basis[i] < basis[pivot_row]):
                     pivot_row, best = i, ratio
         if pivot_row is None:
             raise ArithmeticError("phase-1 simplex found an unbounded direction")
-        piv = tab[pivot_row][enter]
-        tab[pivot_row] = [val / piv for val in tab[pivot_row]]
-        for i in range(nrows):
-            if i != pivot_row and tab[i][enter] != 0:
-                factor = tab[i][enter]
-                tab[i] = [a - factor * b for a, b in zip(tab[i], tab[pivot_row])]
+        prow = tab[pivot_row]
+        piv = prow[enter]
+        for i, row in enumerate(tab):
+            if i != pivot_row:
+                f = row[enter]
+                tab[i] = [(piv * a - f * b) // det for a, b in zip(row, prow)]
+        det = piv
         basis[pivot_row] = enter
 
-    obj = objective()
-    infeasibility = obj[-1]
-    if infeasibility == 0:
-        coeffs = [Fraction(0)] * ncols
+    obj = tab[-1]
+    if obj[-1] == 0:
+        coeffs = [0.0] * ncols
         for i, b in enumerate(basis):
             if b < ncols:
-                coeffs[b] = tab[i][-1]
-        return HullResult(True, tuple(float(c) for c in coeffs), None, 0.0)
-    # Farkas certificate: y with y.A <= 0 and y.b > 0 read off the artificial columns
-    y = [signs[i] * obj[ncols + i] for i in range(nrows)]
-    sep = -np.array([float(c) for c in y[:-1]])
-    norm = np.linalg.norm(sep)
-    if norm > 0:
-        sep = sep / norm
-    tvec = np.array(target, dtype=float)
-    margin = min(float(sep @ np.array(w, dtype=float)) for w in weights) - float(sep @ tvec)
-    return HullResult(False, None, sep, margin)
-
-
-def _gilbert_hull(weights, target, tol: float = 1e-9) -> HullResult:
-    wmat = np.array(weights, dtype=float)
-    tvec = np.array(target, dtype=float)
-    coeff = np.zeros(len(weights))
-    start = int(np.argmin(np.linalg.norm(wmat - tvec, axis=1)))
-    coeff[start] = 1.0
-    point = wmat[start].astype(float).copy()
-    for _ in range(200_000):
-        grad = point - tvec
-        j = int(np.argmin(wmat @ grad))
-        gap = float(grad @ (point - wmat[j]))
-        if gap <= tol:
-            break
-        step_dir = wmat[j] - point
-        denom = float(step_dir @ step_dir)
-        if denom <= 0:
-            break
-        gamma = min(1.0, max(0.0, -float(grad @ step_dir) / denom))
-        coeff *= 1 - gamma
-        coeff[j] += gamma
-        point = point + gamma * step_dir
-    grad = point - tvec
-    margin = float(np.min(wmat @ grad)) - float(tvec @ grad)
-    if margin > 0:
-        return HullResult(False, None, grad / np.linalg.norm(grad), margin / np.linalg.norm(grad))
-    return HullResult(True, tuple(coeff), None, 0.0)
+                coeffs[b] = tab[i][-1] / det
+        return HullResult(True, tuple(coeffs), None, 0.0)
+    # Farkas certificate: y with y.A <= 0 and y.b > 0 read off the artificial
+    # columns (times det / den > 0), so s = -y on the target rows has
+    # min_w s.w - s.t > 0 exactly
+    sep = [-signs[i] * obj[ncols + i] for i in range(nrows - 1)]
+    norm = math.hypot(*(float(c) for c in sep))
+    gap = (min(sum(s * c for s, c in zip(sep, w)) for w in weights)
+           - sum(s * c for s, c in zip(sep, target)))
+    return HullResult(False, None, np.array([float(c) for c in sep]) / norm, gap / norm)
 
 
 def hull_membership(weights: Sequence[Sequence[int]], target: Sequence[float]) -> HullResult:
     """Decide target in conv(weights), with convex coefficients or a strictly
     separating hyperplane as certificate.
 
-    Integer data with rank <= 4 and at most 32 weights is decided exactly in
-    rational arithmetic; larger instances fall back to a Gilbert
-    distance iteration with gap tolerance 1e-9.
+    One route decides every input: a phase-1 simplex over the rationals with
+    Bland's entering and leaving rules, so it is exact and terminates.
+    Weights must be integer vectors; a fractional weight coordinate, or a
+    non-finite target coordinate, is a ValueError.  A float target is
+    decided as the dyadic rational it denotes: (0.2,) * 5 sums to
+    1 + 5.6e-17, so it lies outside the simplex of the unit vectors of R^5,
+    while Fraction(1, 5) coordinates lie inside.  Inside, the coefficients
+    are the exact rationals rounded once.  Outside, the separator s is a
+    unit vector with s.w > s.t for every weight w, and the margin
+    min_w s.w - s.t is exact up to one division by the float norm of the
+    rational separator; it is positive however small.
     """
-    ws = [tuple(int(c) for c in w) if hasattr(w, "__len__") else (int(w),) for w in weights]
+    ws = [_int_weight(w) for w in weights]
     if not ws:
         raise ValueError("need at least one weight")
-    rank = len(ws[0])
-    tgt = tuple(target) if hasattr(target, "__len__") else (target,)
-    if len(tgt) != rank:
+    coords = tuple(target) if hasattr(target, "__len__") else (target,)
+    if len(coords) != len(ws[0]):
         raise ValueError("target rank mismatch")
-    integral = all(float(c).is_integer() for c in tgt)
-    if rank <= 4 and len(ws) <= 32 and integral:
-        return _exact_hull_feasibility(ws, [int(c) for c in tgt])
-    return _gilbert_hull(ws, tgt)
+    for c in coords:
+        if not isinstance(c, numbers.Rational) and not math.isfinite(c):
+            raise ValueError(f"target coordinate {c} is not finite")
+    tgt = [Fraction(c if isinstance(c, numbers.Rational) else float(c)) for c in coords]
+    return _exact_hull_feasibility(ws, tgt)
 
 
 @dataclass(frozen=True)

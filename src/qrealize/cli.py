@@ -459,7 +459,7 @@ def biriffle_cmd(operators, dim, symmetrize, out):
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 @_guard
 def capacity_cmd(rep, out):
-    """Torus capacity of a weight vector: {rank, weights, amplitudes} JSON in."""
+    """Torus capacity of a weight vector: {weights, amplitudes, blocks} JSON in."""
     import numpy as np
 
     from .capacity import capacity as torus_capacity

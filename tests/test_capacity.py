@@ -197,8 +197,7 @@ def test_hull_membership_rank_one_cases():
     assert not hull_membership([(2,), (4,)], (5,)).inside
 
 
-def test_hull_membership_gilbert_path_agrees():
-    # non-integral targets take the iterative route; scale to compare exactly
+def test_hull_membership_non_integral_targets_match_oracle():
     ws = [(1, 1), (3, -1), (-1, -3), (-2, 2)]
     for tgt in [(0.5, 0.5), (1.5, -0.5), (2.5, 2.5), (-1.5, 0.5)]:
         got = hull_membership(ws, tgt).inside
@@ -206,13 +205,59 @@ def test_hull_membership_gilbert_path_agrees():
         assert got == want, (tgt, got, want)
 
 
-def test_hull_membership_high_rank_falls_back():
-    # rank 5 exceeds the exact gate; the simplex of unit weights is easy
+UNIT_SIMPLEX_3 = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]
+
+
+def test_hull_membership_near_boundary_outside_target():
+    # the coordinates sum to 1.00001: outside by 1e-5 / sqrt(3)
+    tgt = (0.3, 0.3, 0.40001)
+    res = hull_membership(UNIT_SIMPLEX_3, tgt)
+    assert not res.inside and res.coefficients is None
+    assert res.margin > 0
+    assert res.margin == pytest.approx((sum(map(Fraction, tgt)) - 1) / math.sqrt(3), rel=1e-12)
+    sep = np.asarray(res.separator)
+    assert np.linalg.norm(sep) == pytest.approx(1.0)
+    along = sep @ np.array(UNIT_SIMPLEX_3, dtype=float).T
+    assert float(sep @ np.array(tgt)) < along.min()
+
+
+def test_hull_membership_near_boundary_inside_target():
+    tgt = (0.3, 0.3, 0.39999)
+    res = hull_membership(UNIT_SIMPLEX_3, tgt)
+    assert res.inside and res.separator is None
+    coeffs = np.asarray(res.coefficients)
+    assert np.all(coeffs >= 0) and coeffs.sum() == pytest.approx(1.0, abs=1e-12)
+    recon = coeffs @ np.array(UNIT_SIMPLEX_3, dtype=float)
+    assert recon == pytest.approx(np.array(tgt), abs=1e-12)
+
+
+def test_hull_membership_float_target_is_its_dyadic_rational():
     ws = [tuple(int(i == j) for j in range(5)) for i in range(5)]
-    center = (0.2,) * 5
-    assert hull_membership(ws, center).inside
+    exact = hull_membership(ws, (Fraction(1, 5),) * 5)
+    assert exact.inside and exact.coefficients == (0.2,) * 5
+    # five float 0.2s sum to 1 + 5.6e-17, just off the simplex
+    res = hull_membership(ws, (0.2,) * 5)
+    assert not res.inside and res.margin > 0
     res = hull_membership(ws, (2, 0, 0, 0, 0))
     assert not res.inside and res.margin > 0
+
+
+@pytest.mark.parametrize("weights", [[(0.5,), (0.7,)], [(0, 1), (1, 1.5)], [("a",), (1,)]])
+def test_fractional_weights_are_rejected(weights):
+    with pytest.raises(ValueError, match="is not an integer vector"):
+        hull_membership(weights, (0,) * len(weights[0]))
+    with pytest.raises(ValueError, match="is not an integer vector"):
+        torus_rep(weights)
+
+
+def test_integral_float_weights_are_accepted():
+    assert torus_rep([(1.0,), (np.int64(-2),)]).weights == ((1,), (-2,))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_hull_membership_rejects_non_finite_target(bad):
+    with pytest.raises(ValueError, match=f"target coordinate {bad} is not finite"):
+        hull_membership([(0, 0), (1, 0), (0, 1)], (0.5, bad))
 
 
 # ---------------------------------------------------------------------------

@@ -359,6 +359,14 @@ def test_capacity_command(runner, tmp_path):
     assert runner.invoke(main, ["capacity", str(bad)]).exit_code == 2
 
 
+def test_capacity_command_rejects_fractional_weight(runner, tmp_path):
+    path = tmp_path / "rep.json"
+    write_json(str(path), {"weights": [[0.5], [-1]], "amplitudes": {"re": [1, 1]}})
+    res = runner.invoke(main, ["capacity", str(path)])
+    assert res.exit_code == 2
+    assert "weight [0.5] is not an integer vector" in res.output
+
+
 @pytest.mark.parametrize("args,message", [
     (["toy-xz", "--exact", "-m", "0"], "m must be >= 1"),
     (["toy-xz", "-m", "0"], "m must be >= 1"),
