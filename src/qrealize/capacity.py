@@ -63,22 +63,36 @@ class TorusRep:
         return np.array(rows, dtype=np.int64)
 
 
+def _exact_int(x) -> int | None:
+    """x as an int when it is integral, else None."""
+    try:
+        i = int(x)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    return i if i == x else None
+
+
 def _int_weight(w) -> tuple[int, ...]:
     """One weight as a tuple of ints; a fractional coordinate is a ValueError."""
     coords = tuple(w) if hasattr(w, "__len__") else (w,)
-    try:
-        ints = tuple(int(c) for c in coords)
-    except (TypeError, ValueError, OverflowError):
-        ints = None
-    if ints != coords:
+    ints = tuple(_exact_int(c) for c in coords)
+    if None in ints:
         raise ValueError(f"weight {list(coords)} is not an integer vector")
     return ints
+
+
+def _int_block(b) -> int:
+    """One block size as an int; a fractional size is a ValueError."""
+    size = _exact_int(b)
+    if size is None:
+        raise ValueError(f"block size {b} is not an integer")
+    return size
 
 
 def torus_rep(weights: Sequence[Sequence[int]], block_sizes: Sequence[int] | None = None) -> TorusRep:
     ws = tuple(_int_weight(w) for w in weights)
     rank = len(ws[0]) if ws else 1
-    sizes = tuple(int(b) for b in block_sizes) if block_sizes else (1,) * len(ws)
+    sizes = tuple(_int_block(b) for b in block_sizes) if block_sizes else (1,) * len(ws)
     return TorusRep(rank, ws, sizes)
 
 

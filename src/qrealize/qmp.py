@@ -291,26 +291,51 @@ def _power_blocks(mats: Sequence[np.ndarray], ctx_dims: tuple[int, ...], n: int
             for choice, _ in _swap_order(ctx_dims, n)[2]]
 
 
+def _above(b: np.ndarray, lam: float) -> bool:
+    """Whether the Cholesky factorisation of the Hermitian b - lam*I
+    succeeds, which proves every eigenvalue of b exceeds lam (up to the
+    factorisation's backward error)."""
+    try:
+        np.linalg.cholesky(b - lam * np.eye(b.shape[0]))
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 def _sector_min_eig(blocks: Sequence[np.ndarray], ctx_dims: tuple[int, ...], n: int
                     ) -> tuple[float, np.ndarray]:
     """Smallest eigenpair of a Hermitian operator on the kept space of n
     copies, given as its sector blocks (``_swap_blocks``, ``_power_blocks``).
 
-    Eigenvalues pick the block with the smallest one; only that block goes
-    to ``eigh``, and its bottom eigenvector y is mapped back as P^T y.  With
-    one sector (n = 1) this is plain ``eigh``."""
+    The smallest block (the all-antisymmetric sector when every context has
+    dimension > 1) goes to ``eigh``, and its bottom eigenvalue is the best
+    lam so far.  Every other block B is screened by a Cholesky factorisation
+    of B - lam*I.  If it succeeds, B - lam*I is positive definite, so B
+    holds no eigenvalue at or below lam and is skipped without a solve.  The
+    guarantee holds up to Cholesky's backward error (Higham, *Accuracy and
+    Stability of Numerical Algorithms*, ch. 10): a skipped block's minimum
+    may lie below lam by at most about dim^2 * eps * ||B - lam*I||, the
+    order of ``eigh``'s own rounding.  A block whose factorisation fails
+    goes to ``eigh`` and replaces the best only when its bottom eigenvalue
+    is strictly smaller.  The winning block's bottom eigenvector y is
+    mapped back as P^T y.  With one sector (n = 1) this is plain ``eigh``."""
     order, pairs, sectors = _swap_order(ctx_dims, n)
-    k = 0
-    if len(blocks) > 1:
-        k = int(np.argmin([np.linalg.eigvalsh(b)[0] for b in blocks]))
-    w, v = np.linalg.eigh(blocks[k])
+    k = first = min(range(len(blocks)), key=lambda i: blocks[i].shape[0])
+    w, v = np.linalg.eigh(blocks[first])
+    lam, y = w[0], v[:, 0]
+    for i, b in enumerate(blocks):
+        if i == first or _above(b, lam):
+            continue
+        w, v = np.linalg.eigh(b)
+        if w[0] < lam:
+            k, lam, y = i, w[0], v[:, 0]
     vec = np.zeros(order.size, dtype=np.complex128)
     part = vec.reshape(_sector_shape(pairs, order.size))[sectors[k][1]]
-    part[...] = v[:, 0].reshape(part.shape)
+    part[...] = y.reshape(part.shape)
     _pair_butterfly(vec, pairs, back=True)
     out = np.empty_like(vec)
     out[order] = vec
-    return float(w[0]), out
+    return float(lam), out
 
 
 def _dense_gap(rhs: np.ndarray, mats: Sequence[np.ndarray], n: int, lhs_scale: float
@@ -323,7 +348,10 @@ def _dense_gap(rhs: np.ndarray, mats: Sequence[np.ndarray], n: int, lhs_scale: f
     ``_swap_blocks``, the product power's blocks are Kronecker products of
     per-context two-copy blocks (``_power_blocks``), and each difference
     r - lhs_scale * p is formed out of place, so either dtype serves; rho^{x n}
-    is never formed.  The context dimensions are those of ``mats``."""
+    is never formed.  ``_sector_min_eig`` then runs ``eigh`` on the smallest
+    difference and clears the others with a shifted Cholesky, which is sound
+    up to its backward error.  The context dimensions are those of
+    ``mats``."""
     ctx_dims = tuple(a.shape[0] for a in mats)
     blocks = [r - lhs_scale * p for r, p in zip(_swap_blocks(rhs, ctx_dims, n),
                                                   _power_blocks(mats, ctx_dims, n))]
@@ -430,15 +458,19 @@ def hierarchy_check(state: MProductState, n: int, *, tol: Tolerances = TOL,
     tuple's n-th tensor power.  A gap below -tol.psd is a sound certificate
     that no joint pure state has these marginals; a non-negative gap only
     rules nothing out at this level.  Kept dimensions up to 1024 solve
-    densely, one LAPACK block per sector of the per-context swap of copies 1
-    and 2 (four blocks of 100, 60, 60 and 36 on the AB, BC chain at n = 2).
-    Each block is a product of contiguous ranges in one reordering of the
-    kept space, and the tensor power's blocks are Kronecker products of
-    per-context two-copy blocks; larger kept dimensions run Lanczos.  Real
-    marginals (real after the Hermitian average) run in real arithmetic on
-    both paths: real blocks on the dense one, a real start vector, basis,
-    wiring-sum matmul and product power on the Lanczos one, whose witness
-    then has zero imaginary part.
+    densely, split into one block per sector of the per-context swap of
+    copies 1 and 2 (four blocks of 100, 60, 60 and 36 on the AB, BC chain at
+    n = 2).  Each block is a product of contiguous ranges in one reordering
+    of the kept space, and the tensor power's blocks are Kronecker products
+    of per-context two-copy blocks.  The smallest block goes to ``eigh``,
+    and every other block B only when the Cholesky factorisation of
+    B - lam*I fails, lam the best eigenvalue so far: a success proves B's
+    eigenvalues exceed lam, up to Cholesky's backward error, which is of
+    the order of ``eigh``'s own rounding.  Larger kept dimensions run
+    Lanczos.  Real marginals (real after the Hermitian average) run in real
+    arithmetic on both paths: real blocks on the dense one, a real start
+    vector, basis, wiring-sum matmul and product power on the Lanczos one,
+    whose witness then has zero imaginary part.
     """
     return _check(state, 1, n, tol, budget)
 

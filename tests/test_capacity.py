@@ -254,6 +254,16 @@ def test_integral_float_weights_are_accepted():
     assert torus_rep([(1.0,), (np.int64(-2),)]).weights == ((1,), (-2,))
 
 
+@pytest.mark.parametrize("blocks,bad", [([1.7, 1], "1.7"), ([1, 1.5], "1.5"), (["2", 1], "2")])
+def test_fractional_block_sizes_are_rejected(blocks, bad):
+    with pytest.raises(ValueError, match=f"block size {bad} is not an integer"):
+        torus_rep([(1,), (-1,)], blocks)
+
+
+def test_integral_float_block_sizes_are_accepted():
+    assert torus_rep([(1,), (-1,)], [2.0, np.int64(1)]).block_sizes == (2, 1)
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_hull_membership_rejects_non_finite_target(bad):
     with pytest.raises(ValueError, match=f"target coordinate {bad} is not finite"):

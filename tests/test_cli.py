@@ -367,6 +367,16 @@ def test_capacity_command_rejects_fractional_weight(runner, tmp_path):
     assert "weight [0.5] is not an integer vector" in res.output
 
 
+def test_capacity_command_rejects_fractional_block_size(runner, tmp_path):
+    path = tmp_path / "rep.json"
+    # truncated to 1, the block would match the two amplitudes and exit 0
+    write_json(str(path), {"weights": [[1], [-1]], "amplitudes": {"re": [1, 1]},
+                           "blocks": [1.7, 1]})
+    res = runner.invoke(main, ["capacity", str(path)])
+    assert res.exit_code == 2
+    assert "block size 1.7 is not an integer" in res.output
+
+
 @pytest.mark.parametrize("args,message", [
     (["toy-xz", "--exact", "-m", "0"], "m must be >= 1"),
     (["toy-xz", "-m", "0"], "m must be >= 1"),

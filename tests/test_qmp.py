@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import block_diag
 
 from qrealize import qmp as qmp_mod
 from qrealize.capacity import fixed_subspace_projector, torus_rep
@@ -288,6 +289,110 @@ def test_sector_split_takes_a_non_contiguous_matrix():
     assert np.linalg.norm(h @ vec - gap * vec) < 1e-12
 
 
+def _random_blocks(ctx_dims, n, dtype, seed):
+    """Random Hermitian blocks with spectra in [1, 2], one per sector."""
+    rng = np.random.default_rng(seed)
+    blocks = []
+    for _, part in _sector_parts(ctx_dims, n)[2]:
+        k = math.prod(part)
+        g = rng.standard_normal((k, k))
+        if dtype == np.complex128:
+            g = g + 1j * rng.standard_normal((k, k))
+        q = np.linalg.qr(g)[0]
+        b = (q * rng.uniform(1.0, 2.0, k)) @ q.conj().T
+        blocks.append((b + b.conj().T) / 2)
+    return blocks
+
+
+def _check_sector_min(blocks, ctx_dims, n):
+    """``_sector_min_eig`` against eigvalsh of the block-diagonal matrix, and
+    the witness against the full operator P^T diag(blocks) P."""
+    gap, vec = qmp_mod._sector_min_eig(blocks, ctx_dims, n)
+    diag = block_diag(*blocks)
+    assert abs(gap - np.linalg.eigvalsh(diag)[0]) <= 1e-12
+    basis = _sector_basis(ctx_dims, n)
+    h = basis @ diag @ basis.T
+    assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-12)
+    assert np.linalg.norm(h @ vec - gap * vec) <= 1e-10
+    return gap, vec
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128], ids=["real", "complex"])
+@pytest.mark.parametrize("ctx_dims,n", [((4, 4), 2), ((2, 2), 3)], ids=["chain-2", "pair-3"])
+def test_sector_min_eig_finds_a_minimum_planted_in_any_sector(monkeypatch, ctx_dims, n, dtype):
+    """The smallest (last) block is solved first; a minimum planted in
+    another block makes that block's shifted Cholesky fail, so it alone is
+    solved as well."""
+    eigh = _count_calls(monkeypatch, "eigh", np.linalg)
+    last = len(qmp_mod._swap_order(ctx_dims, n)[2]) - 1
+    for k in range(last + 1):
+        blocks = _random_blocks(ctx_dims, n, dtype, seed=k)
+        # spectra: the last block in [0.5, 1], the others in [1, 2], and the
+        # planted one shifted down by 2 below them all
+        blocks[last] -= 0.5 * np.eye(blocks[last].shape[0])
+        blocks[k] -= 2.0 * np.eye(blocks[k].shape[0])
+        eigh.clear()
+        gap, _ = _check_sector_min(blocks, ctx_dims, n)
+        assert len(eigh) == (1 if k == last else 2)
+        assert gap == pytest.approx(np.linalg.eigvalsh(blocks[k])[0], abs=1e-12)
+        assert gap < 0
+
+
+@pytest.mark.parametrize("rotate", [False, True], ids=["diagonal", "rotated"])
+def test_sector_min_eig_with_two_blocks_sharing_their_minimum(rotate):
+    ctx_dims, n = (4, 4), 2
+    blocks = _random_blocks(ctx_dims, n, np.complex128, seed=5)
+    for k in (0, 3):  # the 100 block and the 36 block, which is solved first
+        size = blocks[k].shape[0]
+        eigs = np.concatenate([[-1.0], np.linspace(0.5, 1.0, size - 1)])
+        q = np.linalg.qr(np.random.default_rng(k).standard_normal((size, size)))[0] \
+            if rotate else np.eye(size)
+        b = (q * eigs) @ q.T
+        blocks[k] = (b + b.T) / 2
+    gap, vec = _check_sector_min(blocks, ctx_dims, n)
+    if not rotate:
+        # a tie does not replace the block solved first: the witness lies
+        # in the 36 sector, the last 36 columns of the sector basis
+        assert gap == -1.0
+        assert np.abs(_sector_basis(ctx_dims, n)[:, :-36].T @ vec).max() <= 1e-14
+
+
+def test_sector_min_eig_at_level_one_is_plain_eigh(monkeypatch):
+    h = _random_blocks((2, 3), 1, np.complex128, seed=2)[0]
+    h -= 3.0 * np.outer(h[:, 0], h[:, 0].conj())
+    h = (h + h.conj().T) / 2
+    eigh = _count_calls(monkeypatch, "eigh", np.linalg)
+    cholesky = _count_calls(monkeypatch, "cholesky", np.linalg)
+    _check_sector_min([h], (2, 3), 1)
+    assert (len(eigh), len(cholesky)) == (1, 0)
+
+
+def test_planted_chain_check_solves_one_block_and_no_eigvalsh(monkeypatch):
+    st = _planted_chain(0.8)
+    want = hierarchy_check(st, 2)  # fills the wiring-sum cache
+    eigvalsh = _count_calls(monkeypatch, "eigvalsh", np.linalg)
+    eigh = _count_calls(monkeypatch, "eigh", np.linalg)
+    cert = hierarchy_check(st, 2)
+    assert (len(eigvalsh), len(eigh)) == (0, 1)
+    assert cert.verdict == VERDICT_VIOLATED and cert.gap == want.gap
+
+
+@pytest.mark.parametrize("source", [7, 10, 3, 0.7, 0.8])
+@pytest.mark.parametrize("v", [1, 2])
+def test_chain_gap_matches_eigvalsh_of_the_full_operator(source, v):
+    """Haar seeds 7 and 10 at v = 2 (and the planted p = 0.8 at v = 2) put
+    the minimum in the 100-dimensional all-symmetric sector."""
+    st = _sector_input("chain", source)
+    h = _dense_h(CHAIN, st, 2, v)
+    want = np.linalg.eigvalsh(h)[0]
+    if v == 2 and source in (7, 10, 0.8):
+        mins = [np.linalg.eigvalsh(b)[0] for b in qmp_mod._swap_blocks(h, (4, 4), 2)]
+        assert int(np.argmin(mins)) == 0
+    cert = ortho_bound_check(st, v, 2) if v > 1 else hierarchy_check(st, 2)
+    assert abs(cert.gap - want) <= 1e-12
+    assert cert.violated == (want < -TOL.psd)
+
+
 @pytest.mark.parametrize("source,name,n", [
     (5, "chain", 2), (5, "qutrit", 2), (5, "pair", 3), (5, "triangle", 1), (0.7, "chain", 2),
 ], ids=["chain-2", "qutrit-2", "pair-3", "triangle-1", "planted-chain-2"])
@@ -351,15 +456,15 @@ def test_non_finite_lanczos_result_raises(monkeypatch):
         hierarchy_check(st, 2)
 
 
-def _count_calls(monkeypatch, name):
+def _count_calls(monkeypatch, name, module=qmp_mod):
     calls = []
-    fn = getattr(qmp_mod, name)
+    fn = getattr(module, name)
 
     def counting(*args, **kw):
         calls.append(1)
         return fn(*args, **kw)
 
-    monkeypatch.setattr(qmp_mod, name, counting)
+    monkeypatch.setattr(module, name, counting)
     return calls
 
 
