@@ -34,9 +34,7 @@ _EXPORTS = {
         "density_curve", "density_degenerate", "density_nondegenerate",
         "density_qubit_pair", "multinomial_type_dist", "spectral_dist",
         "toy_xz_simulate"),
-    "jsonio": (
-        "dumps", "format_float", "loads", "operator_from_json", "operator_to_json",
-        "read_json", "state_from_json", "state_to_json", "write_json"),
+    "jsonio": ("dumps", "format_float", "loads", "operator_from_json"),
     "partitions": (
         "Partition", "all_cycle_types", "approx_partition", "conjugacy_class_size",
         "coset_cardinality", "coset_representative", "cumulative", "cycle_type",
@@ -45,21 +43,20 @@ _EXPORTS = {
     "qmp": (
         "VERDICT_CONSISTENT", "VERDICT_VIOLATED", "BipartiteResult", "LRRow",
         "MarginalScenario", "MProductState", "RealizabilityCertificate",
-        "bipartite_check", "hierarchy_check", "is_k_uniform", "lr_inequality_check",
-        "marginals_of", "ortho_bound_check", "scenario", "subspace_hierarchy_check",
+        "bipartite_check", "hierarchy_check", "lr_inequality_check", "marginals_of",
+        "ortho_bound_check", "scenario", "subspace_hierarchy_check",
         "three_qubit_witness"),
     "symmetrizer": (
-        "SlotLayout", "WiringOperator", "WiringSum", "antisym_projector",
-        "bibiriffle_lower_bound", "biriffle_bruteforce", "biriffle_value",
-        "isotypic_band_weight", "isotypic_projector", "scenario_layout",
-        "sym_projector", "symmetrize_operator", "traced_permutation",
-        "traced_permutation_sum", "traced_symmetrizer", "uniform_sym_state"),
+        "SlotLayout", "WiringOperator", "WiringSum", "bibiriffle_lower_bound",
+        "biriffle_bruteforce", "biriffle_value", "isotypic_band_weight",
+        "isotypic_projector", "scenario_layout", "sym_projector", "symmetrize_operator",
+        "traced_permutation", "traced_permutation_sum", "traced_symmetrizer",
+        "uniform_sym_state"),
     "tensor": (
         "DensityOperator", "LabeledSpace", "Operator", "PureState",
         "apply_slot_permutation", "haar_random_density", "haar_random_pure",
-        "haar_random_pure_on", "identity", "kron", "partial_trace",
-        "permutation_operator", "power_space", "qubits", "space",
-        "trace_with_permutation"),
+        "haar_random_pure_on", "identity", "kron", "partial_trace", "power_space",
+        "qubits", "space", "trace_with_permutation"),
     "toy_xz": ("ToyXZBounds", "toy_xz_exact_bounds", "toy_xz_exact_fractions"),
 }
 _SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -20,7 +20,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .config import BUDGET, Budgets, ResourceBudgetError
-from .tensor import Operator, _kron_power, power_space, space
+from .tensor import Operator, _exact_int, _kron_power, power_space, space
 
 
 @dataclass(frozen=True)
@@ -61,15 +61,6 @@ class TorusRep:
         for w, b in zip(self.weights, self.block_sizes):
             rows.extend([w] * b)
         return np.array(rows, dtype=np.int64)
-
-
-def _exact_int(x) -> int | None:
-    """x as an int when it is integral, else None."""
-    try:
-        i = int(x)
-    except (TypeError, ValueError, OverflowError):
-        return None
-    return i if i == x else None
 
 
 def _int_weight(w) -> tuple[int, ...]:
@@ -398,10 +389,3 @@ def occasionality_probe(rep: TorusRep, psi, n_list: Sequence[int],
         p = _weight_zero_mass(probs, wrows, int(n))
         rows.append((int(n), p, n ** (exponent / 2) * p))
     return OccasionalityTable(tuple(rows), exponent, verdict)
-
-
-__all__ = [
-    "CapacityResult", "HullResult", "OccasionalityTable", "TorusRep",
-    "capacity", "fixed_subspace_projector", "hull_membership", "kempf_ness",
-    "moment_map", "occasionality_probe", "torus_rep",
-]

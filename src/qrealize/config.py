@@ -13,10 +13,9 @@ from dataclasses import dataclass, replace
 @dataclass(frozen=True)
 class Tolerances:
     herm: float = 1e-10      # max |H - H*| entry for "Hermitian"
-    trace: float = 1e-10     # |tr - 1| for density operators / unit vectors
+    trace: float = 1e-10     # |tr - 1| for density operators, unit vectors and distributions
     psd: float = 1e-9        # eigenvalues >= -psd counts as positive semidefinite
     eig: float = 1e-10       # accuracy expected of dense eigensolves
-    uniform: float = 1e-8    # Frobenius deviation threshold for k-uniformity
 
     def with_(self, **kw) -> "Tolerances":
         return replace(self, **kw)
@@ -24,11 +23,9 @@ class Tolerances:
 
 @dataclass(frozen=True)
 class Budgets:
-    dense_dim: int = 4096           # cap on every dense matrix's dimension (268 MB complex128)
-    perms_dense: int = 5040         # factorial cap for dense permutation sums
-    perms_matrix_free: int = 500_000
-    matvec_dim: int = 300_000       # practical matrix-free dimension
-    bruteforce_perms: int = 100_000
+    dense_dim: int = 4096             # cap on every dense matrix's dimension (268 MB complex128)
+    perms_matrix_free: int = 500_000  # cap on every enumeration of N! slot permutations
+    matvec_dim: int = 300_000         # cap on a matrix-free (Lanczos) vector's dimension
 
     def with_(self, **kw) -> "Budgets":
         return replace(self, **kw)

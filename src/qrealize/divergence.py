@@ -16,6 +16,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from .config import TOL
 from .partitions import Partition, _dyadic_numerators, _int_quotient, approx_partition, \
     finite_difference
 from .tensor import DensityOperator, as_matrix
@@ -207,7 +208,14 @@ def sanov_bounds_check(q: Sequence[float], lam: Sequence[int], n: int) -> SanovC
 
     lower = (n+1)^{-d} e^{-n KL(lam/n || q)}, upper = e^{-n KL(lam/n || q)};
     ok means lower <= m_q(lam) <= upper (with 1e-12 slack for roundoff).
+    q must be a distribution: no negative entry, and a sum within
+    ``TOL.trace`` of 1.
     """
+    if not all(v >= 0 for v in q):
+        raise ValueError("distribution q has an entry below 0 or NaN")
+    total = math.fsum(q)
+    if not abs(total - 1) <= TOL.trace:
+        raise ValueError(f"distribution q sums to {total}, not 1")
     lam = [int(v) for v in lam]
     if sum(lam) != n:
         raise ValueError(f"type {lam} does not sum to n={n}")
@@ -311,12 +319,3 @@ def spectrum_of(rho) -> np.ndarray:
         return rho.spectrum()
     mat = _square(as_matrix(rho))
     return np.clip(np.linalg.eigvalsh((mat + mat.conj().T) / 2)[::-1], 0.0, None)
-
-
-__all__ = [
-    "DiagonalizingFrame", "RatioBound", "SanovCheck", "discrimination_constant",
-    "discrimination_ratio_bound", "discrimination_sequence", "gen_power",
-    "keyl_divergence", "kl_divergence", "leading_principal_minors",
-    "multinomial_mass", "quantum_relative_entropy", "sanov_bounds_check",
-    "spectrum_of",
-]

@@ -19,6 +19,7 @@ import numpy as np
 from .divergence import multinomial_mass, spectrum_of
 from .partitions import Partition, partitions_of, schur_polynomial, specht_dim
 from .tensor import DensityOperator, Operator, as_matrix
+# re-exported, so qrealize.estimation.toy_xz_exact_bounds is a name callers can hook
 from .toy_xz import ToyXZBounds, toy_xz_exact_bounds, toy_xz_exact_fractions
 
 
@@ -303,12 +304,3 @@ def toy_xz_simulate(m: int, trials: int, seed: int = 0) -> np.ndarray:
     kx = rng.binomial(m, (1 + x) / 2)
     kz = rng.binomial(m, (1 + z) / 2)
     return np.column_stack([2 * kx / m - 1, 2 * kz / m - 1])
-
-
-__all__ = [
-    "DensityCurve", "ToyXZBounds", "TypeDistribution", "born_ratio",
-    "compositions", "density_curve", "density_degenerate",
-    "density_nondegenerate", "density_qubit_pair", "multinomial_type_dist",
-    "spectral_dist", "toy_xz_exact_bounds", "toy_xz_exact_fractions",
-    "toy_xz_simulate",
-]

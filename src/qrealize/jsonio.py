@@ -1,13 +1,13 @@
-"""JSON serialization for operators, states, and result records.
+"""JSON writing for result records, and reading of operator inputs.
 
-Operators are stored as ``{"labels": [{"name": "A", "dim": 2}, ...],
-"re": [[...]], "im": [[...]]}``; vectors use flat "amp_re"/"amp_im" lists.
-On input, labels may also be ``[name, dim]`` pairs (``[["A", 2], ...]``).
-Floats are written with 17 significant digits, enough for an exact float64
-round trip; the stdlib encoder's shortest-repr output is not used so the
-emitted byte strings stay stable across interpreter versions.  numpy and
-``tensor`` are imported only by the operator and state (de)serialisers, so
-a process that writes plain records never loads them.
+An operator is read from ``{"labels": [{"name": "A", "dim": 2}, ...],
+"re": [[...]], "im": [[...]]}``; labels may also be ``[name, dim]`` pairs
+(``[["A", 2], ...]``), and "im" may be left out.  Floats are written with
+17 significant digits, enough for an exact float64 round trip; the stdlib
+encoder's shortest-repr output is not used so the emitted byte strings stay
+stable across interpreter versions.  numpy and ``tensor`` are imported only
+by the operator reader, so a process that writes plain records never loads
+them.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import sys
 from typing import TYPE_CHECKING, Any
 
 if TYPE_CHECKING:
-    from .tensor import LabeledSpace, Operator, PureState
+    from .tensor import LabeledSpace, Operator
 
 
 def format_float(x: float) -> str:
@@ -100,30 +100,19 @@ def loads(text: str) -> Any:
     return json.loads(text)
 
 
-def _labels_to_json(sp: LabeledSpace) -> list[dict]:
-    return [{"name": n, "dim": d} for n, d in sp.labels]
-
-
 def _labels_from_json(labels: list) -> LabeledSpace:
-    """Read labels as ``{"name", "dim"}`` objects or ``[name, dim]`` pairs."""
+    """Read labels as ``{"name", "dim"}`` objects or ``[name, dim]`` pairs;
+    ``LabeledSpace`` rejects a dimension that is not an integer."""
     from .tensor import LabeledSpace
 
     pairs = []
     for l in labels:
         if isinstance(l, dict):
-            pairs.append((l["name"], int(l["dim"])))
+            pairs.append((l["name"], l["dim"]))
         else:
             name, dim = l
-            pairs.append((name, int(dim)))
+            pairs.append((name, dim))
     return LabeledSpace(tuple(pairs))
-
-
-def operator_to_json(op: Operator) -> dict:
-    return {
-        "labels": _labels_to_json(op.space),
-        "re": [[float(x) for x in row] for row in op.mat.real],
-        "im": [[float(x) for x in row] for row in op.mat.imag],
-    }
 
 
 def operator_from_json(data: dict) -> Operator:
@@ -135,33 +124,3 @@ def operator_from_json(data: dict) -> Operator:
     re = np.asarray(data["re"], dtype=float)
     im = np.asarray(data.get("im", np.zeros_like(re)), dtype=float)
     return Operator(sp, re + 1j * im)
-
-
-def state_to_json(st: PureState) -> dict:
-    return {
-        "labels": _labels_to_json(st.space),
-        "amp_re": [float(x) for x in st.amplitudes.real],
-        "amp_im": [float(x) for x in st.amplitudes.imag],
-    }
-
-
-def state_from_json(data: dict) -> PureState:
-    import numpy as np
-
-    from .tensor import PureState
-
-    sp = _labels_from_json(data["labels"])
-    re = np.asarray(data["amp_re"], dtype=float)
-    im = np.asarray(data.get("amp_im", np.zeros_like(re)), dtype=float)
-    return PureState(sp, re + 1j * im)
-
-
-def write_json(path: str, value: Any) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps(value, indent=2))
-        fh.write("\n")
-
-
-def read_json(path: str) -> Any:
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.loads(fh.read())

@@ -10,7 +10,6 @@ to float.  The module imports no numpy.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -165,45 +164,6 @@ def weyl_dim(lam: Partition, d: int) -> int:
 
 # ---------------------------------------------------------------------------
 # Schur polynomial values
-
-
-def _interlacing(lam: tuple[int, ...]):
-    """All mu with lam_{i+1} <= mu_i <= lam_i (one row shorter), in
-    decreasing lexicographic order."""
-    lows = lam[1:] + (0,)
-    return itertools.product(*(range(hi, lo - 1, -1) for hi, lo in zip(lam, lows)))
-
-
-def schur_ssyt(lam: Partition, x: Sequence):
-    """Schur value by the branching (semistandard-tableau) summation, in the
-    arithmetic of its inputs: floats, or Fractions for the exact value.
-
-    Every term is a product of inputs, so for spectra this route is free of
-    cancellation; the tests keep it as schur_polynomial's reference.
-    """
-    x = list(x)
-    if lam.length > len(x):
-        return 0
-
-    @cache
-    def rec(shape: tuple[int, ...], nvars: int):
-        if not shape:
-            return 1
-        if nvars == 0:
-            return 0
-        if len(shape) > nvars:
-            return 0
-        tot = 0
-        w = sum(shape)
-        for mu in _interlacing(shape):
-            mu_stripped = tuple(v for v in mu if v > 0)
-            tot += x[nvars - 1] ** (w - sum(mu)) * rec(mu_stripped, nvars - 1)
-        return tot
-
-    try:
-        return rec(lam.parts, len(x))
-    finally:
-        rec.cache_clear()
 
 
 def _dyadic_numerators(x: Sequence[float]) -> tuple[list[int], int]:

@@ -9,8 +9,7 @@ certificate of unrealizability; success at every tested level is only
 consistency.
 
 The special-case solvers (three-qubit overlap witness, bipartite spectra,
-orthogonal-solution counting, joint-subspace restriction, k-uniformity) live
-here too.
+orthogonal-solution counting, joint-subspace restriction) live here too.
 """
 
 from __future__ import annotations
@@ -646,19 +645,3 @@ def lr_inequality_check(rho_a: DensityOperator, rho_b: DensityOperator,
             lhs = sa * sb
             rows.append(LRRow(alpha.parts, beta.parts, lhs, rhs, lhs <= rhs + 1e-9))
     return rows
-
-
-# ---------------------------------------------------------------------------
-# k-uniformity
-
-
-def is_k_uniform(psi: PureState, keep: Sequence[str], tol: Tolerances = TOL
-                 ) -> tuple[bool, float]:
-    """Whether the reduced state on the named subsystems is maximally mixed.
-
-    Returns (flag, Frobenius deviation from identity/dim).
-    """
-    rho = psi.reduced(keep)
-    d = rho.space.total_dim
-    dev = float(np.linalg.norm(rho.mat - np.eye(d) / d, "fro"))
-    return dev < tol.uniform, dev

@@ -2,8 +2,8 @@
 
 Three layers live here:
 
-* dense projectors onto the symmetric / antisymmetric / general isotypic
-  subspaces of (C^d)^{otimes k}: character-weighted permutation sums, built
+* dense projectors onto the symmetric and the general isotypic subspaces
+  of (C^d)^{otimes k}: character-weighted permutation sums, built
   as wiring sums whose layout keeps every wire (so each traced permutation is
   the permutation itself);
 
@@ -62,12 +62,8 @@ def _dense_sum(d: int, k: int, lams: Sequence[Partition], budget: Budgets) -> Op
     A wiring sum whose layout keeps every wire: each traced permutation is
     the permutation itself, with scalar 1."""
     budget.check_dense(d ** k, f"dense permutation sum on {k} slots of C^{d}")
-    if math.factorial(k) > budget.perms_dense:
-        raise ResourceBudgetError(f"dense permutation sum on {k} slots: {k}! permutations "
-                                  f"exceed cap perms_dense={budget.perms_dense}")
     layout = SlotLayout(k, (("Q", d),), (("Q", tuple(range(k))),))
-    uncapped = budget.with_(perms_matrix_free=math.factorial(k))
-    ws = traced_permutation_sum(layout, _character_weight(k, lams), uncapped)
+    ws = traced_permutation_sum(layout, _character_weight(k, lams), budget)
     return Operator(LabeledSpace(tuple((f"s{t}", d) for t in range(k))), ws.to_matrix(budget))
 
 
@@ -75,12 +71,6 @@ def sym_projector(d: int, k: int, budget: Budgets = BUDGET) -> Operator:
     """Orthogonal projector onto the symmetric subspace of k slots of C^d:
     the isotypic projector of the one-row shape (k)."""
     return _dense_sum(d, k, [Partition((k,))], budget)
-
-
-def antisym_projector(d: int, k: int, budget: Budgets = BUDGET) -> Operator:
-    """Orthogonal projector onto the antisymmetric subspace: the isotypic
-    projector of the one-column shape (1^k); zero for k > d."""
-    return _dense_sum(d, k, [Partition((1,) * k)], budget)
 
 
 def uniform_sym_state(d: int, k: int, budget: Budgets = BUDGET) -> DensityOperator:
@@ -184,13 +174,6 @@ class WiringOperator:
 
     def apply(self, vec: np.ndarray) -> np.ndarray:
         return self.scalar * apply_slot_permutation(vec, self.dims, self.perm)
-
-    def to_matrix(self) -> np.ndarray:
-        big = math.prod(self.dims)
-        k = len(self.dims)
-        eye = np.eye(big).reshape(self.dims * 2)
-        axes = list(np.argsort(self.perm)) + list(range(k, 2 * k))
-        return self.scalar * eye.transpose(axes).reshape(big, big)
 
 
 def traced_permutation(layout: SlotLayout, perm: Sequence[int]) -> WiringOperator:
@@ -399,11 +382,12 @@ class WiringSum:
 
 
 def check_perms_budget(nslots: int, budget: Budgets = BUDGET) -> None:
-    """Raise ResourceBudgetError when a sum over all nslots! slot
-    permutations exceeds the budget's matrix-free cap."""
+    """Raise ResourceBudgetError when enumerating all nslots! slot
+    permutations would exceed ``perms_matrix_free``, the one cap on every
+    such enumeration."""
     if math.factorial(nslots) > budget.perms_matrix_free:
-        raise ResourceBudgetError(
-            f"{nslots}! permutation terms exceed cap {budget.perms_matrix_free}")
+        raise ResourceBudgetError(f"{nslots}! permutation terms exceed cap "
+                                  f"perms_matrix_free={budget.perms_matrix_free}")
 
 
 def traced_permutation_sum(layout: SlotLayout,
@@ -505,8 +489,7 @@ def biriffle_bruteforce(xs: Sequence, d: int, budget: Budgets = BUDGET) -> float
     mats, n = _check_biriffle_inputs(xs, d)
     k = len(mats)
     nk = n * k
-    if math.factorial(nk) > budget.bruteforce_perms:
-        raise ResourceBudgetError(f"{nk}! exceeds brute-force budget")
+    check_perms_budget(nk, budget)
     total = 0.0 + 0.0j
     for perm in itertools.permutations(range(nk)):
         total += trace_with_permutation(mats, [n] * k, perm, d)

@@ -18,15 +18,30 @@ import numpy as np
 from .config import BUDGET, TOL, Budgets, ResourceBudgetError, Tolerances
 
 
+def _exact_int(x) -> int | None:
+    """x as an int when it is integral, else None."""
+    try:
+        i = int(x)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    return i if i == x else None
+
+
 @dataclass(frozen=True)
 class LabeledSpace:
-    """An ordered list of (name, dim) factors."""
+    """An ordered list of (name, dim) factors; a dimension that is not an
+    integer (2.5, not 2 or 2.0) is a ValueError naming its label."""
 
     labels: tuple[tuple[str, int], ...]
 
     def __post_init__(self):
-        labels = tuple((str(n), int(d)) for n, d in self.labels)
-        object.__setattr__(self, "labels", labels)
+        labels = []
+        for n, d in self.labels:
+            dim = _exact_int(d)
+            if dim is None:
+                raise ValueError(f"label {str(n)!r} has dimension {d}, not an integer")
+            labels.append((str(n), dim))
+        object.__setattr__(self, "labels", tuple(labels))
         names = [n for n, _ in labels]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate label names in {names}")
@@ -281,33 +296,13 @@ def _check_permutation(perm: Sequence[int]) -> tuple[int, ...]:
     return perm
 
 
-def permutation_operator(sp: LabeledSpace, perm: Sequence[int],
-                         budget: Budgets = BUDGET) -> Operator:
-    """The unitary permuting the k copies of ``sp``: slot s moves to slot perm[s].
-
-    With that convention T(p) T(q) = T(p o q) where (p o q)(s) = p(q(s)).
-    The result lives on ``power_space(sp, k)``.
-    """
-    perm = _check_permutation(perm)
-    k = len(perm)
-    d = sp.total_dim
-    big = power_space(sp, k)
-    budget.check_dense(d ** k, "permutation operator")
-    eye = np.eye(d ** k).reshape((d,) * (2 * k))
-    axes = _perm_inverse(perm) + list(range(k, 2 * k))
-    mat = eye.transpose(axes).reshape(d ** k, d ** k)
-    return Operator(big, mat)
-
-
 def apply_slot_permutation(vec: np.ndarray, dims: Sequence[int], perm: Sequence[int]) -> np.ndarray:
     """Apply the slot permutation (content of slot s -> slot perm[s]) to a vector.
 
     ``dims`` are the per-slot dimensions of ``vec`` (so dims[perm[s]] must equal
-    dims[s]); returns a new flat vector.  This is the matrix-free form of
-    ``permutation_operator``.
+    dims[s]); returns a new flat vector.
     """
     perm = list(perm)
-    k = len(perm)
     t = np.asarray(vec).reshape(tuple(dims))
     out = t.transpose(_perm_inverse(perm))
     return out.reshape(-1)

@@ -11,8 +11,9 @@ import pytest
 from click.testing import CliRunner
 
 from qrealize.cli import main
-from qrealize.jsonio import operator_to_json, write_json
 from qrealize.tensor import Operator, space
+
+from reference import operator_to_json, write_json
 
 
 @pytest.fixture
@@ -73,8 +74,9 @@ def test_show_config_lists_defaults(runner):
     doc = json.loads(res.output)
     assert doc["env_prefix"] == "QREALIZE"
     assert doc["tolerances"]["psd"] == 1e-9
-    assert doc["budgets"]["dense_dim"] == 4096
-    assert "dense_eig_dim" not in doc["budgets"]
+    assert doc["budgets"] == {"dense_dim": 4096, "perms_matrix_free": 500_000,
+                              "matvec_dim": 300_000}
+    assert list(doc["tolerances"]) == ["herm", "trace", "psd", "eig"]
 
 
 def test_witness3_on_singlets_prints_value_and_exits_1(runner, tmp_path):
@@ -150,6 +152,19 @@ def test_non_density_payload_exits_2(runner, tmp_path):
     res = runner.invoke(main, ["qmp", "bipartite", notdens, good])
     assert res.exit_code == 2
     assert "not a density operator" in res.output
+
+
+@pytest.mark.parametrize("command,dim", [("keyl", 2.5), ("qmp bipartite", 2.7),
+                                         ("qmp check", 2.5)])
+def test_fractional_label_dimension_exits_2(runner, tmp_path, command, dim):
+    """A dimension of 2.5 is refused with its label named, not read as 2."""
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"labels": [["A", dim]], "re": (np.eye(2) / 2).tolist()}))
+    good = _write_op(tmp_path / "good.json", [("B", 2)], np.eye(2) / 2)
+    res = runner.invoke(main, command.split() + [str(bad), good])
+    assert res.exit_code == 2, res.output
+    assert isinstance(res.exception, SystemExit)
+    assert f"label 'A' has dimension {dim}, not an integer" in res.output
 
 
 def test_bipartite_verdicts(runner, tmp_path):
@@ -231,12 +246,23 @@ def test_sanov_mass_of_a_large_type_underflows_instead_of_overflowing(runner):
 
 
 def test_sanov_mass_past_float_range_exits_2(runner):
-    """A mass past float range rounds to inf and is rejected by the JSON
-    writer: exit 2, not an OverflowError traceback with exit 1."""
+    """A q whose mass is past float range is no distribution: exit 2, not an
+    OverflowError traceback with exit 1."""
     res = runner.invoke(main, ["sanov", "--q", "1e300,1", "--type", "2,0"])
     assert res.exit_code == 2, res.output
     assert isinstance(res.exception, SystemExit)
-    assert "non-finite" in res.output
+    assert "sums to 1e+300, not 1" in res.output
+
+
+@pytest.mark.parametrize("q,lam,message", [
+    ("-0.5,1.5", "1,1", "entry below 0"),
+    ("0.5,0.7", "2,1", "sums to 1.2, not 1"),
+])
+def test_sanov_rejects_q_that_is_not_a_distribution(runner, q, lam, message):
+    res = runner.invoke(main, ["sanov", "--q", q, "--type", lam])
+    assert res.exit_code == 2, res.output
+    assert isinstance(res.exception, SystemExit)
+    assert message in res.output
 
 
 def test_sanov_length_mismatch_exits_2(runner):
@@ -336,12 +362,24 @@ def test_biriffle_command_emits_bound_for_pairs(runner, tmp_path):
     assert doc["value"] > 0
 
 
+def test_biriffle_on_eight_qubit_slots_runs(runner, tmp_path):
+    # 8! = 40320 permutations build the dense symmetric projector of the bound
+    x = _write_op(tmp_path / "x.json", [(f"Q{i}", 2) for i in range(8)], np.eye(256) / 256)
+    res = runner.invoke(main, ["biriffle", x, x, "--dim", "2"])
+    assert res.exit_code == 0, res.output
+    assert json.loads(res.output)["bound_ok"] is True
+
+
 def test_biriffle_symmetrize_without_dense_projector_exits_3(runner, tmp_path):
-    # 8 qubit slots: 8! permutations exceed the dense projector's budget
-    x = _write_op(tmp_path / "x.json", [(f"Q{i}", 2) for i in range(8)], np.eye(256))
-    res = runner.invoke(main, ["biriffle", x, x, "--dim", "2", "--symmetrize"])
+    # 10 qubit slots: 10! permutations exceed the one permutation cap; the
+    # file is written directly, since the tests' writer is slow at 1024^2
+    x = tmp_path / "x.json"
+    x.write_text(json.dumps({"labels": [[f"Q{i}", 2] for i in range(10)],
+                             "re": np.eye(1024, dtype=int).tolist()}))
+    res = runner.invoke(main, ["biriffle", str(x), str(x), "--dim", "2", "--symmetrize"])
     assert res.exit_code == 3
     assert "resource budget exceeded" in res.output
+    assert "perms_matrix_free" in res.output
 
 
 def test_capacity_command(runner, tmp_path):
@@ -527,7 +565,7 @@ def test_package_import_loads_no_submodule():
     assert json.loads(proc.stdout) == ["qrealize"]
 
 
-# Every name the package exported when it imported its submodules eagerly.
+# Every name the package exports, by the submodule that defines it.
 PACKAGE_API = {
     "capacity": """CapacityResult HullResult OccasionalityTable TorusRep capacity
         fixed_subspace_projector hull_membership kempf_ness moment_map
@@ -541,25 +579,22 @@ PACKAGE_API = {
         density_curve density_degenerate density_nondegenerate density_qubit_pair
         multinomial_type_dist spectral_dist toy_xz_exact_bounds
         toy_xz_exact_fractions toy_xz_simulate""",
-    "jsonio": """dumps format_float loads operator_from_json operator_to_json read_json
-        state_from_json state_to_json write_json""",
+    "jsonio": "dumps format_float loads operator_from_json",
     "partitions": """Partition all_cycle_types approx_partition conjugacy_class_size
         coset_cardinality coset_representative cumulative cycle_type double_cosets
         finite_difference littlewood_richardson mn_character partitions_of
         schur_polynomial specht_dim weyl_dim""",
     "qmp": """VERDICT_CONSISTENT VERDICT_VIOLATED BipartiteResult LRRow
         MarginalScenario MProductState RealizabilityCertificate bipartite_check
-        hierarchy_check is_k_uniform lr_inequality_check marginals_of
+        hierarchy_check lr_inequality_check marginals_of
         ortho_bound_check scenario subspace_hierarchy_check three_qubit_witness""",
-    "symmetrizer": """SlotLayout WiringOperator WiringSum antisym_projector
-        bibiriffle_lower_bound biriffle_bruteforce biriffle_value isotypic_band_weight
-        isotypic_projector scenario_layout sym_projector symmetrize_operator
-        traced_permutation traced_permutation_sum traced_symmetrizer
-        uniform_sym_state""",
+    "symmetrizer": """SlotLayout WiringOperator WiringSum bibiriffle_lower_bound
+        biriffle_bruteforce biriffle_value isotypic_band_weight isotypic_projector
+        scenario_layout sym_projector symmetrize_operator traced_permutation
+        traced_permutation_sum traced_symmetrizer uniform_sym_state""",
     "tensor": """DensityOperator LabeledSpace Operator PureState apply_slot_permutation
         haar_random_density haar_random_pure haar_random_pure_on identity kron
-        partial_trace permutation_operator power_space qubits space
-        trace_with_permutation""",
+        partial_trace power_space qubits space trace_with_permutation""",
 }
 
 
@@ -574,8 +609,11 @@ def test_lazy_package_exports_the_same_objects():
         for name in text.split():
             assert getattr(qrealize, name) is getattr(mod, name), name
             names.append(name)
-    assert len(names) == 117
+    assert len(names) == 109
     assert sorted(qrealize.__all__) == sorted(names)
+    # the package's table is the one export list
+    assert not any(hasattr(importlib.import_module(f"qrealize.{m}"), "__all__")
+                   for m in qrealize._EXPORTS)
     assert set(names) <= set(dir(qrealize))
     assert callable(qrealize.capacity)    # the function, not the submodule
     from qrealize import jsonio, qmp

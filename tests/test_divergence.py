@@ -20,7 +20,9 @@ from qrealize.divergence import (
     spectrum_of,
 )
 from qrealize.estimation import compositions
-from qrealize.tensor import haar_random_density, haar_random_pure, permutation_operator, space
+from qrealize.tensor import haar_random_density, haar_random_pure, space
+
+from reference import permutation_operator
 
 
 def random_density(rng, d, rank=None):
@@ -211,6 +213,12 @@ def test_sanov_bounds_hold_on_every_type():
 def test_sanov_check_validates_input():
     with pytest.raises(ValueError):
         sanov_bounds_check([0.5, 0.5], [1, 2], 4)
+    # q must be a distribution
+    for q, message in (([-0.5, 1.5], "below 0"), ([math.nan, 1.0], "below 0 or NaN"),
+                       ([0.5, 0.7], "sums to 1.2, not 1"),
+                       ([1e300, 1.0], r"sums to 1e\+300, not 1")):
+        with pytest.raises(ValueError, match=message):
+            sanov_bounds_check(q, [1, 1], 2)
 
 
 def test_sanov_off_support_type():

@@ -22,10 +22,11 @@ from qrealize.partitions import (
     mn_character,
     partitions_of,
     schur_polynomial,
-    schur_ssyt,
     specht_dim,
     weyl_dim,
 )
+
+from reference import schur_ssyt
 
 
 def partition_count_oracle(n):

@@ -14,7 +14,6 @@ from qrealize.qmp import (
     MProductState,
     bipartite_check,
     hierarchy_check,
-    is_k_uniform,
     lr_inequality_check,
     marginals_of,
     ortho_bound_check,
@@ -32,7 +31,6 @@ from qrealize.tensor import (
     haar_random_pure_on,
     identity,
     lanczos_min_eig,
-    permutation_operator,
     qubits,
     space,
 )
@@ -492,14 +490,13 @@ _TINY = BUDGET.with_(dense_dim=3)
 
 @pytest.mark.parametrize("build", [
     lambda: sym_projector(2, 2, _TINY),
-    lambda: permutation_operator(space(("Q", 2)), (1, 0), _TINY),
     lambda: traced_symmetrizer(TRIPLE.joint.labels, TRIPLE.contexts, 1).to_matrix(_TINY),
     lambda: fixed_subspace_projector(torus_rep([(1,), (-1,)]), 2, _TINY),
     lambda: hierarchy_check(marginals_of(haar_random_pure_on(CHAIN.joint, 8), CHAIN), 2,
                             budget=_TINY),
     lambda: subspace_hierarchy_check(triple_product(np.eye(4) / 4), identity(TRIPLE.joint), 1,
                                      budget=_TINY),
-], ids=["sym_projector", "permutation_operator", "to_matrix", "fixed_subspace_projector",
+], ids=["sym_projector", "to_matrix", "fixed_subspace_projector",
         "hierarchy_check-chain-n2", "subspace_hierarchy_check"])
 def test_every_dense_path_checks_the_one_dense_cap(build):
     with pytest.raises(ResourceBudgetError, match="exceeds cap dense_dim=3"):
@@ -874,12 +871,3 @@ def test_lr_inequalities_cover_all_shape_pairs():
     rows = lr_inequality_check(ra, rb, 2)
     # shapes of 2 with <= 2 rows: (2), (1,1); with <= 3 rows adds nothing new
     assert len(rows) == 2 * 2
-
-
-def test_is_k_uniform():
-    bell = PureState(qubits("A", "B"), np.array([1, 0, 0, 1]) / np.sqrt(2))
-    flag, dev = is_k_uniform(bell, ("A",))
-    assert flag and dev < 1e-12
-    prod = PureState(qubits("A", "B"), np.array([1, 0, 0, 0], dtype=float))
-    flag, dev = is_k_uniform(prod, ("A",))
-    assert not flag and dev == pytest.approx(np.sqrt(0.5))

