@@ -7,19 +7,21 @@ violation, 2 usage or parse error, 3 resource budget exceeded.
 
 Each command imports only the layers it runs, inside its body: every
 invocation is a fresh process, and ``toy-xz --exact`` never loads numpy.
+The parser is the standard library's ``argparse``.  It only splits the
+command line into strings; each parameter's converter checks its value,
+whether it came from the command line or from the environment variable
+``QREALIZE_<COMMAND PATH>_<PARAMETER>`` (upper-cased, hyphens and spaces as
+underscores, e.g. ``QREALIZE_QMP_CHECK_LEVEL``), which a flag overrides.
 """
 
 from __future__ import annotations
 
-import dataclasses
-import functools
+import argparse
 import json
 import math
+import os
 import sys
-from pathlib import Path
-from typing import TYPE_CHECKING
-
-import click
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from .config import BUDGET, TOL, ResourceBudgetError
 from .jsonio import dumps, format_float, loads, operator_from_json
@@ -28,21 +30,256 @@ if TYPE_CHECKING:
     from .qmp import MProductState
     from .tensor import DensityOperator, Operator
 
-_CONTEXT = {
-    "auto_envvar_prefix": "QREALIZE",
-    "help_option_names": ["-h", "--help"],
-}
+
+# ---------------------------------------------------------------------------
+# Parameters: each value is a string until its converter checks it; a
+# converter raises ValueError with the reason, which becomes exit 2
+
+
+def _int(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"{text!r} is not a valid integer.") from None
+
+
+def _float(text: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise ValueError(f"{text!r} is not a valid float.") from None
+
+
+_BOOLS = {"1": True, "true": True, "t": True, "yes": True, "y": True, "on": True,
+          "0": False, "false": False, "f": False, "no": False, "n": False, "off": False}
+
+
+def _bool(text: str) -> bool:
+    """An on/off flag: "true" from the command line, any of ``_BOOLS`` from
+    the environment."""
+    try:
+        return _BOOLS[text.strip().lower()]
+    except KeyError:
+        raise ValueError(f"{text!r} is not a valid boolean.") from None
+
+
+def _input_file(path: str) -> str:
+    """A file that exists and is not a directory, checked before any work."""
+    if not os.path.exists(path):
+        raise ValueError(f"File {path!r} does not exist.")
+    if os.path.isdir(path):
+        raise ValueError(f"File {path!r} is a directory.")
+    return path
+
+
+def _output_file(path: str) -> str:
+    if os.path.isdir(path):
+        raise ValueError(f"File {path!r} is a directory.")
+    return path
+
+
+_METAVAR = {_int: "INTEGER", _float: "FLOAT", _input_file: "FILE", _output_file: "FILE",
+            str: "TEXT"}
+
+
+class _Param(NamedTuple):
+    flags: tuple[str, ...]          # () for a positional argument
+    dest: str                       # the command function's keyword
+    convert: Callable = str         # _bool for an on/off flag
+    default: object = None
+    required: bool = False
+    help: str | None = None
+    many: bool = False              # a positional that takes one or more values
+
+    @property
+    def label(self) -> str:
+        if self.flags:
+            return " / ".join(f"'{f}'" for f in self.flags)
+        return f"'{self.dest.upper()}{'...' if self.many else ''}'"
+
+
+def _opt(flags: str, convert: Callable = str, default=None, help: str | None = None,
+         required: bool = False, dest: str | None = None) -> _Param:
+    """An option; ``dest`` defaults to the long flag's name, hyphens as
+    underscores (``--tol-psd`` is ``tol_psd``)."""
+    names = tuple(flags.split())
+    long = next(f for f in names if f.startswith("--"))
+    return _Param(names, dest or long[2:].replace("-", "_"), convert, default, required, help)
+
+
+def _flag(flag: str, help: str) -> _Param:
+    return _opt(flag, _bool, False, help)
+
+
+def _file(dest: str, many: bool = False) -> _Param:
+    return _Param((), dest, _input_file, many=many)
+
+
+# command path ("qmp check") -> (function, parameters); groups list commands
+_COMMANDS: dict[str, tuple[Callable, tuple[_Param, ...]]] = {}
+_GROUPS = {"": "Certification toolkit for quantum realizability problems.",
+           "qmp": "Quantum marginal problem checks."}
+_ROOT = (_flag("--show-config", "Print all defaults as JSON and exit."),)
+
+
+def _command(path: str, *params: _Param):
+    def register(fn):
+        _COMMANDS[path] = (fn, params)
+        return fn
+    return register
+
+
+def _canonical(argv: list[str]) -> tuple[str, list[str]]:
+    """The command path and the command line as argparse should read it.
+
+    Each option that takes a value is joined to it (``--q=-0.5,1.5``), so a
+    value that starts with '-' stays a value, and the command's options go
+    before its positional arguments, so options may follow them."""
+    path, head, rest = "", [], list(argv)
+    while rest:
+        tok = rest.pop(0)
+        head.append(tok)
+        if not tok.startswith("-"):
+            path = f"{path} {tok}".strip()
+            if path not in _GROUPS:
+                break
+    if path not in _COMMANDS:
+        return path, head + rest
+    takes_value = {f for p in _COMMANDS[path][1] if p.convert is not _bool for f in p.flags}
+    opts, args = [], []
+    while rest:
+        tok = rest.pop(0)
+        if tok == "--":
+            args += [tok, *rest]
+            break
+        if tok in takes_value:
+            if not rest:    # no value left: argparse reports it
+                args.append(tok)
+                break
+            opts.append(f"{tok}={rest.pop(0)}")
+        elif tok.startswith("-") and tok != "-":
+            opts.append(tok)
+        else:
+            args.append(tok)
+    return path, head + opts + args
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as the usage, a hint and the message; exit 2."""
+
+    def error(self, message):
+        self.exit(2, f"{self.format_usage()}Try '{self.prog} -h' for help.\n\nError: {message}\n")
+
+
+def _add(parser: argparse.ArgumentParser, p: _Param) -> None:
+    if not p.flags:
+        parser.add_argument(p.dest, nargs="+" if p.many else None, metavar=p.dest.upper())
+        return
+    text = p.help or ""
+    if p.required:
+        text += "  [required]"
+    elif p.default is not None and p.convert is not _bool:
+        text += f"  [default: {p.default}]"
+    if p.convert is _bool:
+        parser.add_argument(*p.flags, dest=p.dest, action="store_const", const="true",
+                            help=text or None)
+    else:
+        parser.add_argument(*p.flags, dest=p.dest, metavar=_METAVAR[p.convert],
+                            help=text or None)
+
+
+def _parsers(prog: str, path: str) -> dict[str, argparse.ArgumentParser]:
+    """One parser per group and command, by path; only ``path``'s command
+    gets its arguments, since no other one runs."""
+    parsers = {"": _Parser(prog=prog, description=_GROUPS[""], allow_abbrev=False)}
+    parsers[""].set_defaults(_path="")
+    subparsers = {}
+    for name in sorted(_GROUPS.keys() | _COMMANDS.keys()):   # parents before children
+        if not name:
+            continue
+        parent, _, leaf = name.rpartition(" ")
+        if parent not in subparsers:
+            subparsers[parent] = parsers[parent].add_subparsers(title="commands",
+                                                                metavar="COMMAND")
+        doc = _GROUPS[name] if name in _GROUPS else _COMMANDS[name][0].__doc__
+        parsers[name] = subparsers[parent].add_parser(leaf, help=doc, description=doc,
+                                                      allow_abbrev=False)
+        parsers[name].set_defaults(_path=name)
+    for p in _ROOT:
+        _add(parsers[""], p)
+    if path in _COMMANDS:
+        for p in _COMMANDS[path][1]:
+            _add(parsers[path], p)
+    return parsers
+
+
+def _arguments(path: str, params: tuple[_Param, ...], ns: argparse.Namespace) -> dict:
+    """Each parameter's converted value: from the command line, else from
+    its environment variable, else its default."""
+    prefix = "_".join(["QREALIZE", *path.upper().replace("-", "_").split()])
+    values = {}
+    for p in params:
+        text = getattr(ns, p.dest)
+        if text is None and p.flags:
+            text = os.environ.get(f"{prefix}_{p.dest.upper()}") or None
+        if text is None:
+            if p.required:
+                raise ValueError(f"Missing option {p.label}.")
+            values[p.dest] = p.default
+            continue
+        try:
+            values[p.dest] = [p.convert(t) for t in text] if p.many else p.convert(text)
+        except ValueError as exc:
+            raise ValueError(f"Invalid value for {p.label}: {exc}") from None
+    return values
+
+
+def main(args: list[str] | None = None, prog_name: str | None = None) -> None:
+    """Run one command.  Returns on success; otherwise raises SystemExit
+    carrying 1 (VIOLATED), 2 (usage or input error) or 3 (budget stop)."""
+    path, argv = _canonical(sys.argv[1:] if args is None else list(args))
+    parsers = _parsers(prog_name or "qrealize", path)
+    ns = parsers[""].parse_args(argv)
+    parser = parsers[ns._path]
+    try:
+        if _arguments("", _ROOT, ns)["show_config"]:
+            sys.stdout.write(dumps(_config_payload(), indent=2) + "\n")
+            return
+        if ns._path not in _COMMANDS:
+            # the bare program lists its commands; a bare group is a usage error
+            parser.print_help(sys.stderr if ns._path else sys.stdout)
+            if ns._path:
+                raise SystemExit(2)
+            return
+        fn, params = _COMMANDS[ns._path]
+        code = fn(**_arguments(ns._path, params, ns))
+    except ResourceBudgetError as exc:
+        sys.stderr.write(f"resource budget exceeded: {exc}\n")
+        raise SystemExit(3)
+    except MemoryError as exc:
+        detail = str(exc) or "out of memory"
+        sys.stderr.write(f"resource budget exceeded: could not allocate ({detail})\n")
+        raise SystemExit(3)
+    except ValueError as exc:
+        parser.error(str(exc))
+    if code:
+        raise SystemExit(code)
+
+
+# ---------------------------------------------------------------------------
+# Shared helpers of the commands
 
 
 def _read_json_file(path: str):
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as f:
+            text = f.read()
     except OSError as exc:
-        raise click.UsageError(f"cannot read {path}: {exc}")
+        raise ValueError(f"cannot read {path}: {exc}")
     try:
         return loads(text)
     except json.JSONDecodeError as exc:
-        raise click.UsageError(
+        raise ValueError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}")
 
 
@@ -51,7 +288,7 @@ def _load_operator(path: str) -> Operator:
     try:
         return operator_from_json(data)
     except (KeyError, TypeError, ValueError) as exc:
-        raise click.UsageError(f"{path}: not a valid operator payload: {exc}")
+        raise ValueError(f"{path}: not a valid operator payload: {exc}")
 
 
 def _load_density(path: str) -> DensityOperator:
@@ -61,12 +298,13 @@ def _load_density(path: str) -> DensityOperator:
     try:
         return DensityOperator(op)
     except (ValueError, ArithmeticError) as exc:
-        raise click.UsageError(f"{path}: not a density operator: {exc}")
+        raise ValueError(f"{path}: not a density operator: {exc}")
 
 
 def _emit(text: str, out: str | None):
     if out:
-        Path(out).write_text(text, encoding="utf-8")
+        with open(out, "w", encoding="utf-8") as f:
+            f.write(text)
     else:
         sys.stdout.write(text)
 
@@ -75,11 +313,11 @@ def _budget(budget_perms: int | None, budget_dim: int | None):
     kwargs = {}
     if budget_perms is not None:
         if budget_perms <= 0:
-            raise click.UsageError("--budget-perms must be positive")
+            raise ValueError("--budget-perms must be positive")
         kwargs["perms_matrix_free"] = budget_perms
     if budget_dim is not None:
         if budget_dim <= 0:
-            raise click.UsageError("--budget-dim must be positive")
+            raise ValueError("--budget-dim must be positive")
         kwargs["dense_dim"] = budget_dim
     return BUDGET.with_(**kwargs) if kwargs else BUDGET
 
@@ -92,60 +330,23 @@ def _floats(text: str) -> list[float]:
     try:
         return [float(v) for v in text.split(",") if v.strip() != ""]
     except ValueError as exc:
-        raise click.UsageError(f"bad numeric list {text!r}: {exc}")
+        raise ValueError(f"bad numeric list {text!r}: {exc}")
 
 
 def _ints(text: str) -> list[int]:
     try:
         return [int(v) for v in text.split(",") if v.strip() != ""]
     except ValueError as exc:
-        raise click.UsageError(f"bad integer list {text!r}: {exc}")
-
-
-def _guard(fn):
-    """Map library errors to exit codes: a ``ValueError`` is a usage error
-    (2); a ``ResourceBudgetError`` or a failed allocation is a budget stop (3)."""
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except ResourceBudgetError as exc:
-            click.echo(f"resource budget exceeded: {exc}", err=True)
-            sys.exit(3)
-        except MemoryError as exc:
-            detail = str(exc) or "out of memory"
-            click.echo(f"resource budget exceeded: could not allocate ({detail})", err=True)
-            sys.exit(3)
-        except ValueError as exc:
-            raise click.UsageError(str(exc))
-    return wrapper
+        raise ValueError(f"bad integer list {text!r}: {exc}")
 
 
 def _config_payload() -> dict:
     return {
-        "tolerances": dataclasses.asdict(TOL),
-        "budgets": dataclasses.asdict(BUDGET),
+        "tolerances": TOL._asdict(),
+        "budgets": BUDGET._asdict(),
         "seed": 0,
         "env_prefix": "QREALIZE",
     }
-
-
-@click.group(context_settings=_CONTEXT, invoke_without_command=True)
-@click.option("--show-config", is_flag=True, help="Print all defaults as JSON and exit.")
-@click.pass_context
-def main(ctx, show_config):
-    """Certification toolkit for quantum realizability problems."""
-    if show_config:
-        sys.stdout.write(dumps(_config_payload(), indent=2) + "\n")
-        ctx.exit(0)
-    if ctx.invoked_subcommand is None:
-        click.echo(ctx.get_help())
-        ctx.exit(0)
-
-
-@main.group()
-def qmp():
-    """Quantum marginal problem checks."""
 
 
 def _scenario_from_marginals(paths) -> MProductState:
@@ -159,7 +360,7 @@ def _scenario_from_marginals(paths) -> MProductState:
         for name, dim in rho.space.labels:
             if name in seen:
                 if seen[name] != dim:
-                    raise click.UsageError(
+                    raise ValueError(
                         f"label {name} appears with dims {seen[name]} and {dim}")
             else:
                 seen[name] = dim
@@ -170,24 +371,28 @@ def _scenario_from_marginals(paths) -> MProductState:
     return MProductState(scen, tuple(marginals))
 
 
-def _emit_certificate(cert, out) -> None:
+def _emit_certificate(cert, out) -> int:
     _emit(dumps(cert.to_json(), indent=2) + "\n", out)
+    return 1 if cert.violated else 0
 
 
-_BUDGET_DIM_HELP = ("Cap on the dimension of every dense matrix built or diagonalised. "
-                    "Sets dense_dim; matvec_dim keeps its default.")
-_BUDGET_PERMS_HELP = ("Cap on the (level x contexts)! slot permutations a wiring sum "
-                      "runs over. Sets perms_matrix_free.")
+# ---------------------------------------------------------------------------
+# Commands: each returns its exit code (None for 0)
 
 
-@qmp.command("check")
-@click.argument("marginals", nargs=-1, required=True, type=click.Path(exists=True, dir_okay=False))
-@click.option("--level", type=int, default=1, show_default=True, help="Hierarchy level n.")
-@click.option("--tol-psd", type=float, default=None, help="Gap threshold for VIOLATED.")
-@click.option("--budget-perms", type=int, default=None, help=_BUDGET_PERMS_HELP)
-@click.option("--budget-dim", type=int, default=None, help=_BUDGET_DIM_HELP)
-@click.option("--out", type=click.Path(dir_okay=False), default=None)
-@_guard
+_OUT = _opt("--out", _output_file)
+_BUDGET_DIM = _opt("--budget-dim", _int, help=(
+    "Cap on the dimension of every dense matrix built or diagonalised. "
+    "Sets dense_dim; matvec_dim keeps its default."))
+_BUDGET_PERMS = _opt("--budget-perms", _int, help=(
+    "Cap on the (level x contexts)! slot permutations a wiring sum runs over. "
+    "Sets perms_matrix_free."))
+
+
+@_command("qmp check", _file("marginals", many=True),
+          _opt("--level", _int, 1, "Hierarchy level n."),
+          _opt("--tol-psd", _float, help="Gap threshold for VIOLATED."),
+          _BUDGET_PERMS, _BUDGET_DIM, _OUT)
 def qmp_check(marginals, level, tol_psd, budget_perms, budget_dim, out):
     """Run the level-n symmetric-subspace test on marginal operator files."""
     from .qmp import hierarchy_check
@@ -195,17 +400,11 @@ def qmp_check(marginals, level, tol_psd, budget_perms, budget_dim, out):
     state = _scenario_from_marginals(marginals)
     cert = hierarchy_check(
         state, level, tol=_tolerances(tol_psd), budget=_budget(budget_perms, budget_dim))
-    _emit_certificate(cert, out)
-    sys.exit(1 if cert.violated else 0)
+    return _emit_certificate(cert, out)
 
 
-@qmp.command("witness3")
-@click.argument("ab", type=click.Path(exists=True, dir_okay=False))
-@click.argument("ac", type=click.Path(exists=True, dir_okay=False))
-@click.argument("bc", type=click.Path(exists=True, dir_okay=False))
-@click.option("--tol-psd", type=float, default=None, help="Violation threshold on the witness value.")
-@click.option("--out", type=click.Path(dir_okay=False), default=None)
-@_guard
+@_command("qmp witness3", _file("ab"), _file("ac"), _file("bc"),
+          _opt("--tol-psd", _float, help="Violation threshold on the witness value."), _OUT)
 def qmp_witness3(ab, ac, bc, tol_psd, out):
     """Three-qubit overlapping-pairs witness; nonzero certifies violation."""
     from .qmp import three_qubit_witness
@@ -214,38 +413,28 @@ def qmp_witness3(ab, ac, bc, tol_psd, out):
     for path in (ab, ac, bc):
         rho = _load_density(path)
         if rho.space.dims != (2, 2):
-            raise click.UsageError(f"{path}: witness3 needs two-qubit marginals")
+            raise ValueError(f"{path}: witness3 needs two-qubit marginals")
         rhos.append(rho)
     value = three_qubit_witness(*rhos)
     if out:
         _emit(dumps({"value": value}, indent=2) + "\n", out)
     sys.stdout.write(format_float(value) + "\n")
-    sys.exit(1 if value > _tolerances(tol_psd).psd else 0)
+    return 1 if value > _tolerances(tol_psd).psd else 0
 
 
-@qmp.command("bipartite")
-@click.argument("rho_a", type=click.Path(exists=True, dir_okay=False))
-@click.argument("rho_b", type=click.Path(exists=True, dir_okay=False))
-@click.option("--out", type=click.Path(dir_okay=False), default=None)
-@_guard
+@_command("qmp bipartite", _file("rho_a"), _file("rho_b"), _OUT)
 def qmp_bipartite(rho_a, rho_b, out):
     """Pure-state bipartite compatibility: spectra match, or a rate certificate."""
     from .qmp import bipartite_check
 
     result = bipartite_check(_load_density(rho_a), _load_density(rho_b))
     _emit(dumps(result.to_json(), indent=2) + "\n", out)
-    sys.exit(0 if result.realizable else 1)
+    return 0 if result.realizable else 1
 
 
-@qmp.command("ortho")
-@click.argument("marginals", nargs=-1, required=True, type=click.Path(exists=True, dir_okay=False))
-@click.option("--level", type=int, default=1, show_default=True)
-@click.option("--rank", type=int, required=True, help="Row bound v on the admitted shapes.")
-@click.option("--tol-psd", type=float, default=None)
-@click.option("--budget-perms", type=int, default=None, help=_BUDGET_PERMS_HELP)
-@click.option("--budget-dim", type=int, default=None, help=_BUDGET_DIM_HELP)
-@click.option("--out", type=click.Path(dir_okay=False), default=None)
-@_guard
+@_command("qmp ortho", _file("marginals", many=True), _opt("--level", _int, 1),
+          _opt("--rank", _int, help="Row bound v on the admitted shapes.", required=True),
+          _opt("--tol-psd", _float), _BUDGET_PERMS, _BUDGET_DIM, _OUT)
 def qmp_ortho(marginals, level, rank, tol_psd, budget_perms, budget_dim, out):
     """Rank-restricted isotypic-band variant of the hierarchy test."""
     from .qmp import ortho_bound_check
@@ -254,19 +443,13 @@ def qmp_ortho(marginals, level, rank, tol_psd, budget_perms, budget_dim, out):
     cert = ortho_bound_check(
         state, rank, level, tol=_tolerances(tol_psd),
         budget=_budget(budget_perms, budget_dim))
-    _emit_certificate(cert, out)
-    sys.exit(1 if cert.violated else 0)
+    return _emit_certificate(cert, out)
 
 
-@qmp.command("subspace")
-@click.argument("marginals", nargs=-1, required=True, type=click.Path(exists=True, dir_okay=False))
-@click.option("--projector", required=True, type=click.Path(exists=True, dir_okay=False),
-              help="Operator JSON for the joint-space subspace projector.")
-@click.option("--level", type=int, default=1, show_default=True)
-@click.option("--tol-psd", type=float, default=None)
-@click.option("--budget-dim", type=int, default=None, help=_BUDGET_DIM_HELP)
-@click.option("--out", type=click.Path(dir_okay=False), default=None)
-@_guard
+@_command("qmp subspace", _file("marginals", many=True),
+          _opt("--projector", _input_file, required=True,
+               help="Operator JSON for the joint-space subspace projector."),
+          _opt("--level", _int, 1), _opt("--tol-psd", _float), _BUDGET_DIM, _OUT)
 def qmp_subspace(marginals, projector, level, tol_psd, budget_dim, out):
     """Hierarchy test restricted to a joint subspace (e.g. an exclusion model)."""
     from .qmp import subspace_hierarchy_check
@@ -275,17 +458,12 @@ def qmp_subspace(marginals, projector, level, tol_psd, budget_dim, out):
     proj = _load_operator(projector)
     cert = subspace_hierarchy_check(
         state, proj, level, tol=_tolerances(tol_psd), budget=_budget(None, budget_dim))
-    _emit_certificate(cert, out)
-    sys.exit(1 if cert.violated else 0)
+    return _emit_certificate(cert, out)
 
 
-@main.command("keyl")
-@click.argument("rho", type=click.Path(exists=True, dir_okay=False))
-@click.argument("sigma", type=click.Path(exists=True, dir_okay=False))
-@click.option("--copies", type=int, default=None,
-              help="Also evaluate the n-copy discrimination ratio and bound.")
-@click.option("--out", type=click.Path(dir_okay=False), default=None)
-@_guard
+@_command("keyl", _file("rho"), _file("sigma"),
+          _opt("--copies", _int, help="Also evaluate the n-copy discrimination ratio and bound."),
+          _OUT)
 def keyl_cmd(rho, sigma, copies, out):
     """Keyl divergence K(rho || sigma), optionally with the ratio bound."""
     from .divergence import discrimination_ratio_bound, keyl_divergence
@@ -304,11 +482,10 @@ def keyl_cmd(rho, sigma, copies, out):
     _emit(dumps(payload, indent=2) + "\n", out)
 
 
-@main.command("sanov")
-@click.option("--q", "q_text", required=True, help="Comma-separated source distribution.")
-@click.option("--type", "type_text", required=True, help="Comma-separated count vector.")
-@click.option("--out", type=click.Path(dir_okay=False), default=None)
-@_guard
+@_command("sanov",
+          _opt("--q", dest="q_text", required=True, help="Comma-separated source distribution."),
+          _opt("--type", dest="type_text", required=True, help="Comma-separated count vector."),
+          _OUT)
 def sanov_cmd(q_text, type_text, out):
     """Multinomial mass of one type against its large-deviation envelope."""
     from .divergence import sanov_bounds_check
@@ -316,17 +493,15 @@ def sanov_cmd(q_text, type_text, out):
     q = _floats(q_text)
     lam = _ints(type_text)
     if len(q) != len(lam):
-        raise click.UsageError("--q and --type must have equal length")
+        raise ValueError("--q and --type must have equal length")
     check = sanov_bounds_check(q, lam, sum(lam))
     _emit(dumps({"lower": check.lower, "value": check.value,
                  "upper": check.upper, "ok": check.ok}, indent=2) + "\n", out)
 
 
-@main.command("spectral-dist")
-@click.option("--spec", "spec_text", required=True, help="Comma-separated spectrum.")
-@click.option("--copies", "-n", "copies", type=int, required=True)
-@click.option("--out", type=click.Path(dir_okay=False), default=None)
-@_guard
+@_command("spectral-dist",
+          _opt("--spec", dest="spec_text", required=True, help="Comma-separated spectrum."),
+          _opt("-n --copies", _int, required=True), _OUT)
 def spectral_dist_cmd(spec_text, copies, out):
     """CSV distribution of the estimated spectrum shape at n copies."""
     from .estimation import spectral_dist
@@ -340,17 +515,14 @@ def spectral_dist_cmd(spec_text, copies, out):
     _emit("\n".join(lines) + "\n", out)
 
 
-@main.command("density")
-@click.option("--eigs", "eigs_text", default=None, help="Comma-separated eigenvalues.")
-@click.option("--mults", "mults_text", default=None,
-              help="Comma-separated multiplicities (degenerate case).")
-@click.option("--pair-a", type=click.Path(exists=True, dir_okay=False), default=None,
-              help="First qubit observable (joint-density mode).")
-@click.option("--pair-b", type=click.Path(exists=True, dir_okay=False), default=None)
-@click.option("--at", "at_text", default=None, help="Evaluation point a,b for the joint mode.")
-@click.option("--points", type=int, default=2000, show_default=True)
-@click.option("--out", type=click.Path(dir_okay=False), default=None)
-@_guard
+@_command("density",
+          _opt("--eigs", dest="eigs_text", help="Comma-separated eigenvalues."),
+          _opt("--mults", dest="mults_text",
+               help="Comma-separated multiplicities (degenerate case)."),
+          _opt("--pair-a", _input_file, help="First qubit observable (joint-density mode)."),
+          _opt("--pair-b", _input_file),
+          _opt("--at", dest="at_text", help="Evaluation point a,b for the joint mode."),
+          _opt("--points", _int, 2000), _OUT)
 def density_cmd(eigs_text, mults_text, pair_a, pair_b, at_text, points, out):
     """Expectation-value density: CSV curve, or one joint-density value."""
     from .estimation import (density_curve, density_degenerate, density_nondegenerate,
@@ -358,21 +530,21 @@ def density_cmd(eigs_text, mults_text, pair_a, pair_b, at_text, points, out):
 
     if pair_a or pair_b:
         if not (pair_a and pair_b and at_text):
-            raise click.UsageError("joint mode needs --pair-a, --pair-b and --at")
+            raise ValueError("joint mode needs --pair-a, --pair-b and --at")
         point = _floats(at_text)
         if len(point) != 2:
-            raise click.UsageError("--at must be two numbers")
+            raise ValueError("--at must be two numbers")
         value = density_qubit_pair(
             _load_operator(pair_a), _load_operator(pair_b), point)
         _emit(dumps({"value": value}, indent=2) + "\n", out)
         return
     if not eigs_text:
-        raise click.UsageError("provide --eigs or the --pair-a/--pair-b mode")
+        raise ValueError("provide --eigs or the --pair-a/--pair-b mode")
     eigs = _floats(eigs_text)
     if mults_text:
         mults = _ints(mults_text)
         if len(mults) != len(eigs):
-            raise click.UsageError("--mults must match --eigs in length")
+            raise ValueError("--mults must match --eigs in length")
         pairs = list(zip(eigs, mults))
         fun = lambda x: density_degenerate(pairs, x)
     else:
@@ -384,14 +556,9 @@ def density_cmd(eigs_text, mults_text, pair_a, pair_b, at_text, points, out):
     _emit("\n".join(lines) + "\n", out)
 
 
-@main.command("toy-xz")
-@click.option("-m", "--shots", "shots", type=int, required=True, help="Shots per basis.")
-@click.option("--trials", type=int, default=10000, show_default=True)
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--bins", type=int, default=50, show_default=True)
-@click.option("--exact", is_flag=True, help="Print corner/balanced bounds instead of sampling.")
-@click.option("--out", type=click.Path(dir_okay=False), default=None)
-@_guard
+@_command("toy-xz", _opt("-m --shots", _int, help="Shots per basis.", required=True),
+          _opt("--trials", _int, 10000), _opt("--seed", _int, 0), _opt("--bins", _int, 50),
+          _flag("--exact", "Print corner/balanced bounds instead of sampling."), _OUT)
 def toy_xz_cmd(shots, trials, seed, bins, exact, out):
     """Two-basis X/Z estimate histogram, or its exact corner/balanced bounds."""
     if exact:
@@ -420,11 +587,8 @@ def toy_xz_cmd(shots, trials, seed, bins, exact, out):
     _emit("\n".join(lines) + "\n", out)
 
 
-@main.command("born-ratio")
-@click.argument("projector", type=click.Path(exists=True, dir_okay=False))
-@click.argument("observable", type=click.Path(exists=True, dir_okay=False))
-@click.option("--copies", "-n", "copies", type=int, required=True)
-@_guard
+@_command("born-ratio", _file("projector"), _file("observable"),
+          _opt("-n --copies", _int, required=True))
 def born_ratio_cmd(projector, observable, copies):
     """Outcome probability after n repeated projective observations."""
     from .estimation import born_ratio
@@ -434,30 +598,29 @@ def born_ratio_cmd(projector, observable, copies):
     sys.stdout.write(format_float(value) + "\n")
 
 
-@main.command("biriffle")
-@click.argument("operators", nargs=-1, required=True, type=click.Path(exists=True, dir_okay=False))
-@click.option("--dim", "-d", type=int, required=True, help="Local dimension d.")
-@click.option("--symmetrize", is_flag=True, help="Project the inputs onto the symmetric subspace first.")
-@click.option("--out", type=click.Path(dir_okay=False), default=None)
-@_guard
-def biriffle_cmd(operators, dim, symmetrize, out):
+@_command("biriffle", _file("operators", many=True),
+          _opt("-d --dim", _int, help="Local dimension d.", required=True),
+          _flag("--symmetrize", "Project the inputs onto the symmetric subspace first."),
+          _opt("--budget-perms", _int, help=(
+              "Cap on the n! slot permutations that build the symmetric projector "
+              "(--symmetrize, and the bound for two operators). Sets perms_matrix_free.")),
+          _BUDGET_DIM, _OUT)
+def biriffle_cmd(operators, dim, symmetrize, budget_perms, budget_dim, out):
     """Averaged interleaving sum of k tensor-power operators."""
     from .symmetrizer import bibiriffle_lower_bound, biriffle_value
 
+    budget = _budget(budget_perms, budget_dim)
     xs = [_load_operator(p).mat for p in operators]
-    value = biriffle_value(xs, dim, symmetrize=symmetrize)
+    value = biriffle_value(xs, dim, symmetrize=symmetrize, budget=budget)
     payload = {"value": value}
     if len(xs) == 2:
-        p_n, bound = bibiriffle_lower_bound(xs[0], xs[1], dim)
+        p_n, bound = bibiriffle_lower_bound(xs[0], xs[1], dim, budget=budget)
         payload["bibiriffle_bound"] = bound
         payload["bound_ok"] = bool(p_n >= bound - 1e-12)
     _emit(dumps(payload, indent=2) + "\n", out)
 
 
-@main.command("capacity")
-@click.argument("rep", type=click.Path(exists=True, dir_okay=False))
-@click.option("--out", type=click.Path(dir_okay=False), default=None)
-@_guard
+@_command("capacity", _file("rep"), _OUT)
 def capacity_cmd(rep, out):
     """Torus capacity of a weight vector: {weights, amplitudes, blocks} JSON in."""
     import numpy as np
@@ -473,7 +636,7 @@ def capacity_cmd(rep, out):
         re = np.asarray(amps["re"], dtype=float)
         im = np.asarray(amps.get("im", np.zeros_like(re)), dtype=float)
     except (KeyError, TypeError) as exc:
-        raise click.UsageError(f"{rep}: not a valid torus payload: {exc}")
+        raise ValueError(f"{rep}: not a valid torus payload: {exc}")
     trep = torus_rep(weights, blocks)
     result = torus_capacity(trep, re + 1j * im)
     _emit(dumps(result.to_json(), indent=2) + "\n", out)

@@ -7,28 +7,26 @@ defaults below are what the CLI and the test-suite use.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class Tolerances:
+class Tolerances(NamedTuple):
     herm: float = 1e-10      # max |H - H*| entry for "Hermitian"
     trace: float = 1e-10     # |tr - 1| for density operators, unit vectors and distributions
     psd: float = 1e-9        # eigenvalues >= -psd counts as positive semidefinite
     eig: float = 1e-10       # accuracy expected of dense eigensolves
 
     def with_(self, **kw) -> "Tolerances":
-        return replace(self, **kw)
+        return self._replace(**kw)
 
 
-@dataclass(frozen=True)
-class Budgets:
+class Budgets(NamedTuple):
     dense_dim: int = 4096             # cap on every dense matrix's dimension (268 MB complex128)
     perms_matrix_free: int = 500_000  # cap on every enumeration of N! slot permutations
     matvec_dim: int = 300_000         # cap on a matrix-free (Lanczos) vector's dimension
 
     def with_(self, **kw) -> "Budgets":
-        return replace(self, **kw)
+        return self._replace(**kw)
 
     def check_dense(self, dim: int, what: str) -> None:
         """Raise ResourceBudgetError before a dense matrix above the cap is allocated."""

@@ -22,7 +22,6 @@ from typing import Sequence
 import numpy as np
 
 from .config import BUDGET, TOL, Budgets, Tolerances
-from .divergence import kl_divergence
 from .partitions import littlewood_richardson, partitions_of, \
     schur_polynomial, specht_dim, weyl_dim
 from .symmetrizer import WiringSum, check_perms_budget, isotypic_band_weight, \
@@ -599,6 +598,8 @@ def bipartite_check(rho_a: DensityOperator, rho_b: DensityOperator,
         return BipartiteResult(False, math.inf, pinsker,
                                tuple(map(float, sa)), tuple(map(float, sb)),
                                tuple((pa + pb) / 2.0))
+    from .divergence import kl_divergence
+
     r = (pa + pb) / 2.0
     rate = kl_divergence(pa, r) + kl_divergence(pb, r)
     realizable = bool(np.max(np.abs(pa - pb)) <= tol)

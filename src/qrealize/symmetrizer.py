@@ -497,14 +497,16 @@ def biriffle_bruteforce(xs: Sequence, d: int, budget: Budgets = BUDGET) -> float
     return float(val.real)
 
 
-def bibiriffle_lower_bound(x1, x2, d: int) -> tuple[float, float]:
+def bibiriffle_lower_bound(x1, x2, d: int, *, budget: Budgets = BUDGET
+                           ) -> tuple[float, float]:
     """(p_n(X1, X2), Tr(uniform-symmetric-state X1 X2) / (2n)^(d-1)).
 
     For permutation-fixed positive semidefinite inputs the first entry
-    dominates the second.
+    dominates the second.  The symmetric state is the dense projector, built
+    under ``budget``'s caps.
     """
     mats, n = _check_biriffle_inputs([x1, x2], d)
     p = biriffle_value(mats, d)
-    sbar = uniform_sym_state(d, n)
+    sbar = uniform_sym_state(d, n, budget)
     rhs = float(np.real(np.trace(sbar.mat @ mats[0] @ mats[1]))) / (2 * n) ** (d - 1)
     return p, rhs

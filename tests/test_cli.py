@@ -1,4 +1,7 @@
-"""End-to-end command-line behaviour through the click test runner."""
+"""End-to-end command-line behaviour through ``main``, in process."""
+import contextlib
+import functools
+import io
 import json
 import math
 import os
@@ -8,7 +11,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 
 from qrealize.cli import main
 from qrealize.tensor import Operator, space
@@ -16,9 +18,43 @@ from qrealize.tensor import Operator, space
 from reference import operator_to_json, write_json
 
 
+class Result:
+    def __init__(self, exit_code, exception, output):
+        self.exit_code, self.exception, self.output = exit_code, exception, output
+
+
+class Runner:
+    """Calls a CLI entry point with ``args`` and, for the call, the variables
+    in ``env`` set; ``output`` holds stdout and stderr interleaved.  A
+    SystemExit gives its code (and is the ``exception`` unless the code is
+    0); any other exception gives exit code 1 and is kept."""
+
+    def invoke(self, cli, args, env=None):
+        saved = {k: os.environ.get(k) for k in env or {}}
+        os.environ.update(env or {})
+        out = io.StringIO()
+        exit_code, exception = 0, None
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
+                cli(args, prog_name="qrealize")
+        except SystemExit as exc:
+            code = exc.code
+            exit_code = code if isinstance(code, int) else (0 if code is None else 1)
+            exception = exc if exit_code else None
+        except Exception as exc:
+            exit_code, exception = 1, exc
+        finally:
+            for k, v in saved.items():
+                if v is None:
+                    os.environ.pop(k, None)
+                else:
+                    os.environ[k] = v
+        return Result(exit_code, exception, out.getvalue())
+
+
 @pytest.fixture
 def runner():
-    return CliRunner()
+    return Runner()
 
 
 def _write_op(path, labels, mat):
@@ -77,6 +113,19 @@ def test_show_config_lists_defaults(runner):
     assert doc["budgets"] == {"dense_dim": 4096, "perms_matrix_free": 500_000,
                               "matvec_dim": 300_000}
     assert list(doc["tolerances"]) == ["herm", "trace", "psd", "eig"]
+
+
+def test_config_defaults_are_immutable_named_tuples():
+    from qrealize.config import BUDGET, TOL, Budgets, Tolerances
+
+    assert Tolerances._fields == ("herm", "trace", "psd", "eig")
+    assert Budgets._fields == ("dense_dim", "perms_matrix_free", "matvec_dim")
+    with pytest.raises(AttributeError):
+        TOL.psd = 0.0
+    with pytest.raises(AttributeError):
+        BUDGET.dense_dim = 1
+    assert TOL.with_(psd=1e-6) == Tolerances(psd=1e-6) and TOL.psd == 1e-9
+    assert BUDGET.with_(dense_dim=16).check_dense(16, "x") is None
 
 
 def test_witness3_on_singlets_prints_value_and_exits_1(runner, tmp_path):
@@ -382,6 +431,20 @@ def test_biriffle_symmetrize_without_dense_projector_exits_3(runner, tmp_path):
     assert "perms_matrix_free" in res.output
 
 
+@pytest.mark.parametrize("perms,code", [(5, 3), (6, 0)])
+def test_biriffle_budget_perms_caps_the_symmetric_projector(runner, tmp_path, perms, code):
+    # --symmetrize and the pair bound each build the 3-slot projector from 3! permutations
+    x = _write_op(tmp_path / "x.json", [(f"Q{i}", 2) for i in range(3)], np.eye(8) / 8)
+    res = runner.invoke(main, ["biriffle", x, x, "--dim", "2", "--symmetrize",
+                               "--budget-perms", str(perms)])
+    assert res.exit_code == code, res.output
+    if code:
+        assert "resource budget exceeded" in res.output
+        assert "perms_matrix_free=5" in res.output
+    else:
+        assert json.loads(res.output)["bound_ok"] is True
+
+
 def test_capacity_command(runner, tmp_path):
     payload = {"weights": [[1], [-1]], "amplitudes": {"re": [2.0, 0.5]}}
     path = tmp_path / "rep.json"
@@ -469,6 +532,76 @@ def test_env_prefix_feeds_options(runner, tmp_path):
     assert json.loads(res.output)["level"] == 2
 
 
+@pytest.mark.parametrize("env,args,shots", [
+    ({"QREALIZE_TOY_XZ_SHOTS": "3"}, ["--exact"], "3"),
+    ({"QREALIZE_TOY_XZ_SHOTS": "3"}, ["--exact", "-m", "2"], "2"),     # the flag wins
+    ({"QREALIZE_TOY_XZ_SHOTS": "3", "QREALIZE_TOY_XZ_EXACT": "1"}, [], "3"),
+])
+def test_env_sets_toy_xz_shots_and_a_flag_overrides_it(runner, env, args, shots):
+    res = runner.invoke(main, ["toy-xz", *args], env=env)
+    assert res.exit_code == 0, res.output
+    assert res.output == runner.invoke(main, ["toy-xz", "--exact", "-m", shots]).output
+
+
+def test_env_satisfies_the_required_ortho_rank(runner, tmp_path):
+    ab = _singlet_pair(tmp_path / "ab.json", "A", "B")
+    ac = _singlet_pair(tmp_path / "ac.json", "A", "C")
+    bc = _singlet_pair(tmp_path / "bc.json", "B", "C")
+    res = runner.invoke(main, ["qmp", "ortho", ab, ac, bc],
+                        env={"QREALIZE_QMP_ORTHO_RANK": "1"})
+    assert res.exit_code == 1, res.output
+    assert json.loads(res.output)["verdict"] == "VIOLATED"
+    bad = runner.invoke(main, ["qmp", "ortho", ab, ac, bc],
+                        env={"QREALIZE_QMP_ORTHO_RANK": "one"})
+    assert bad.exit_code == 2
+    assert "Invalid value for '--rank': 'one' is not a valid integer." in bad.output
+
+
+def test_options_may_follow_positional_arguments(runner, tmp_path):
+    ab = _mixed_pair(tmp_path / "ab.json", "A", "B")
+    bc = _mixed_pair(tmp_path / "bc.json", "B", "C")
+    res = runner.invoke(main, ["qmp", "check", ab, "--level", "2", bc])
+    assert res.exit_code == 1, res.output
+    assert json.loads(res.output)["level"] == 2
+
+
+@pytest.mark.parametrize("where", ["missing", "directory"])
+def test_input_path_that_is_no_file_exits_2_before_any_work(runner, tmp_path, where):
+    good = _mixed_pair(tmp_path / "ab.json", "A", "B")
+    bad = tmp_path / "nothing.json"
+    if where == "directory":
+        bad.mkdir()
+    res = runner.invoke(main, ["qmp", "check", good, str(bad)])
+    assert res.exit_code == 2
+    assert isinstance(res.exception, SystemExit)
+    message = "does not exist" if where == "missing" else "is a directory"
+    assert f"Invalid value for 'MARGINALS...': File '{bad}' {message}." in res.output
+
+
+def test_out_directory_exits_2_before_any_work(runner, tmp_path):
+    res = runner.invoke(main, ["toy-xz", "--exact", "-m", "2", "--out", str(tmp_path)])
+    assert res.exit_code == 2
+    assert f"Invalid value for '--out': File '{tmp_path}' is a directory." in res.output
+    assert "corner_prob" not in res.output
+
+
+def test_main_returns_on_success_and_raises_the_exit_code(tmp_path, capsys):
+    """The contract of a batch driver that calls ``main`` in its own process."""
+    assert main(args=["toy-xz", "--exact", "-m", "2"], prog_name="qrealize") is None
+    ab = _singlet_pair(tmp_path / "ab.json", "A", "B")
+    ac = _singlet_pair(tmp_path / "ac.json", "A", "C")
+    bc = _singlet_pair(tmp_path / "bc.json", "B", "C")
+    for args, code in [(["qmp", "witness3", ab, ac, bc], 1),
+                       (["toy-xz", "--exact", "-m", "0"], 2),
+                       (["qmp", "check", ab, bc, "--level", "3", "--budget-perms", "10"], 3)]:
+        with pytest.raises(SystemExit) as exc:
+            main(args=args, prog_name="qrealize")
+        assert exc.value.code == code, args
+    err = capsys.readouterr().err
+    assert "Try 'qrealize toy-xz -h' for help." in err
+    assert "resource budget exceeded" in err
+
+
 def test_outputs_are_byte_identical_across_runs(runner, tmp_path):
     ab = _singlet_pair(tmp_path / "ab.json", "A", "B")
     ac = _singlet_pair(tmp_path / "ac.json", "A", "C")
@@ -536,16 +669,57 @@ def _fresh_python(*args):
                           timeout=60)
 
 
+_REPORT = ("import atexit, sys; "
+           "atexit.register(lambda: print('loaded:', *sys.modules, file=sys.stderr))")
+
+
+def _loaded_set(proc):
+    line = next(l for l in proc.stderr.splitlines() if l.startswith("loaded:"))
+    return set(line.split()[1:])
+
+
+@functools.cache
+def _startup_modules():
+    return _loaded_set(_fresh_python("-c", _REPORT))
+
+
+def _loaded(*cli_args):
+    """Run the CLI in a fresh process: its result, and the modules it loaded
+    beyond those the interpreter's own start-up loads."""
+    run = _REPORT + "; import runpy; runpy.run_module('qrealize.cli', run_name='__main__')"
+    proc = _fresh_python("-c", run, *cli_args)
+    return proc, _loaded_set(proc) - _startup_modules()
+
+
+def _third_party(modules, allowed=()):
+    """The modules outside the standard library, qrealize and ``allowed``."""
+    roots = set(sys.stdlib_module_names) | {"qrealize", *allowed}
+    return {m for m in modules if m.split(".")[0] not in roots}
+
+
 def test_toy_xz_exact_runs_without_numpy():
     """toy-xz --exact is pure rational arithmetic; numpy alone costs ~0.14 s
-    of a cold process."""
-    proc = _fresh_python("-X", "importtime", "-m", "qrealize.cli", "toy-xz", "--exact", "-m", "4")
+    of a cold process.  The parser and the config are the standard
+    library's argparse and NamedTuple, so no third-party package and no
+    dataclasses load either."""
+    proc, imported = _loaded("toy-xz", "--exact", "-m", "4")
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["balanced_bound"] == 0.125
-    imported = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()
-                if line.startswith("import time:")}
     assert "qrealize.toy_xz" in imported
-    assert not {m for m in imported if m.split(".")[0] == "numpy"}
+    assert not _third_party(imported)
+    assert "dataclasses" not in imported
+
+
+def test_qmp_check_loads_no_divergence_layer(tmp_path):
+    """A level-1 check never computes a divergence, so a cold process does
+    not compile that layer, and loads no third-party package but numpy."""
+    ab = _singlet_pair(tmp_path / "ab.json", "A", "B")
+    bc = _singlet_pair(tmp_path / "bc.json", "B", "C")
+    proc, imported = _loaded("qmp", "check", ab, bc, "--level", "1")
+    assert proc.returncode == 0, proc.stderr
+    assert "qrealize.qmp" in imported
+    assert "qrealize.divergence" not in imported
+    assert not _third_party(imported, allowed=("numpy",))
 
 
 def test_cli_import_loads_no_solver_layer():

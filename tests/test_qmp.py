@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.linalg import block_diag
 
+from qrealize import divergence as divergence_mod
 from qrealize import qmp as qmp_mod
 from qrealize.capacity import fixed_subspace_projector, torus_rep
 from qrealize.config import BUDGET, TOL, ResourceBudgetError
@@ -836,7 +837,8 @@ def test_bipartite_rate_matches_grid_and_pinsker():
 
 def test_bipartite_pinsker_self_check_survives_optimisation(monkeypatch):
     """The self-check raises, not asserts, so ``python -O`` keeps it."""
-    monkeypatch.setattr(qmp_mod, "kl_divergence", lambda p, q: -1.0)
+    # bipartite_check imports kl_divergence from its module when it runs
+    monkeypatch.setattr(divergence_mod, "kl_divergence", lambda p, q: -1.0)
     ra = DensityOperator(Operator(space(("A", 2)), np.diag([0.8, 0.2])))
     rb = DensityOperator(Operator(space(("B", 2)), np.diag([0.6, 0.4])))
     with pytest.raises(ArithmeticError, match="divergence fell below its norm bound"):

@@ -293,6 +293,16 @@ def test_biriffle_bruteforce_follows_the_permutation_cap():
         pytest.approx(biriffle_value([x, x, x], 2))
 
 
+def test_bibiriffle_bound_follows_the_callers_permutation_cap():
+    # the bound's symmetric state on 3 slots enumerates 3! permutations
+    x = np.eye(8) / 8
+    with pytest.raises(ResourceBudgetError,
+                       match="3! permutation terms exceed cap perms_matrix_free=5"):
+        bibiriffle_lower_bound(x, x, 2, budget=BUDGET.with_(perms_matrix_free=5))
+    assert bibiriffle_lower_bound(x, x, 2, budget=BUDGET.with_(perms_matrix_free=6)) == \
+        bibiriffle_lower_bound(x, x, 2)
+
+
 def test_symmetrize_operator_is_invariant():
     rng = np.random.default_rng(7)
     x = random_sym_psd(rng, 2, 2)
