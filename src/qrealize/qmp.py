@@ -171,31 +171,37 @@ def _apply_product_power(mat: np.ndarray, n: int, vec: np.ndarray) -> np.ndarray
 
 
 @lru_cache(maxsize=32)
-def _swap_order(ctx_dims: tuple[int, ...], n: int) -> tuple[np.ndarray, tuple, tuple]:
-    """(order, pairs, sectors) splitting the kept space of n copies of the
-    contexts by the swap of copies 1 and 2 inside each context.
+def _swap_order(ctx_dims: tuple[int, ...], n: int
+                ) -> tuple[np.ndarray, tuple, tuple, np.ndarray, np.ndarray]:
+    """(order, pairs, sectors, inverse, scale) splitting the kept space of n
+    copies of the contexts by the swap of copies 1 and 2 inside each context.
 
     The kept index is slot-major over slots t*m + i of dimension
     ``ctx_dims[i]``; context i's two copy digits are those of slots i and
     m + i.  ``order`` gathers the kept indices context by context: context
     i's digit pairs run (a, a), then (a, b) for a < b, then (b, a) in the
-    same order, and copies 3..n come last.  ``pairs[i]`` is
-    (d, d(d+1)/2) for context i: once ``_pair_butterfly`` has taken
-    (e_ab, e_ba) to (e_ab + e_ba, e_ba - e_ab)/sqrt2, the first d(d+1)/2
-    pairs span the swap's +1 eigenspace and the rest its -1 eigenspace.
-    ``sectors`` lists, all-symmetric first, each sector's per-context choice
-    (0 symmetric, 1 antisymmetric) and its range of pairs in every context,
-    so a sector block is a product of contiguous ranges.  At n = 1 there is
-    one sector and ``order`` is the identity."""
+    same order, and copies 3..n come last; ``inverse`` is the position of
+    each kept index in ``order``.  ``pairs[i]`` is (d, d(d+1)/2) for
+    context i: once ``_pair_butterfly`` has taken (e_ab, e_ba) to
+    (e_ab + e_ba, e_ba - e_ab)/sqrt2, the first d(d+1)/2 pairs span the
+    swap's +1 eigenspace and the rest its -1 eigenspace.  ``sectors`` lists,
+    all-symmetric first, each sector's per-context choice (0 symmetric, 1
+    antisymmetric) and its range of pairs in every context, so a sector
+    block is a product of contiguous ranges.  ``scale[c]`` is sqrt(|O_c|),
+    |O_c| = 2^(number of contexts whose digit pair at position c is
+    off-diagonal): the column scale of ``_split_sectors``.  At n = 1 there
+    is one sector, and ``order`` and ``inverse`` are the identity."""
     m = len(ctx_dims)
     big = math.prod(ctx_dims) ** n
     if n == 1:
-        order = np.arange(big)
-        order.setflags(write=False)
-        return order, (), (((), ()),)
+        order, scale = np.arange(big), np.ones(big)
+        for a in (order, scale):
+            a.setflags(write=False)
+        return order, (), (((), ()),), order, scale
     slot_dims = ctx_dims * n
     pairs = tuple((d, d * (d + 1) // 2) for d in ctx_dims)
     order = np.arange(big // math.prod(ctx_dims) ** 2)  # copies 3..n
+    off = np.zeros(order.size, dtype=np.int64)  # off-diagonal pairs per position
     for i in reversed(range(m)):
         d = ctx_dims[i]
         a, b = np.triu_indices(d, 1)
@@ -204,14 +210,20 @@ def _swap_order(ctx_dims: tuple[int, ...], n: int) -> tuple[np.ndarray, tuple, t
         index = (first * math.prod(slot_dims[i + 1:])
                  + second * math.prod(slot_dims[m + i + 1:]))
         order = (index[:, None] + order[None, :]).reshape(-1)
+        off = ((first != second)[:, None] + off[None, :]).reshape(-1)
     sectors = []
     for s in range(1 << m):
         choice = tuple((s >> i) & 1 for i in range(m))
         if all(d > 1 or not c for d, c in zip(ctx_dims, choice)):
             sectors.append((choice, tuple(slice(k, d * d) if c else slice(0, k)
                                           for (d, k), c in zip(pairs, choice))))
-    order.setflags(write=False)
-    return order, pairs, tuple(sectors)
+    inverse = np.empty_like(order)
+    inverse[order] = np.arange(big)
+    # sqrt of an exact power of two: sqrt2 * sqrt2 would round above 2
+    scale = np.sqrt(np.ldexp(1.0, off))
+    for a in (order, inverse, scale):
+        a.setflags(write=False)
+    return order, pairs, tuple(sectors), inverse, scale
 
 
 def _sector_shape(pairs, big: int) -> tuple[int, ...]:
@@ -239,26 +251,42 @@ def _pair_butterfly(x: np.ndarray, pairs, back: bool = False) -> None:
         pre *= d * d
 
 
-def _swap_blocks(h: np.ndarray, ctx_dims: tuple[int, ...], n: int) -> list[np.ndarray]:
+def _split_sectors(x: np.ndarray, ctx_dims: tuple[int, ...], n: int) -> list[np.ndarray]:
     """The diagonal blocks P h P^T of a Hermitian ``h`` on the kept space of
-    n copies, P the orthogonal change of basis of ``_swap_order`` and
-    ``_pair_butterfly``, one per sector and Hermitian-averaged."""
-    order, pairs, sectors = _swap_order(ctx_dims, n)
+    n copies, one per sector and Hermitian-averaged, from the C-contiguous
+    ``x = h[np.ix_(order, order)]`` in the order of ``_swap_order`` (which
+    ``WiringSum.to_matrix(budget, order)`` scatters directly).  ``x`` is
+    overwritten.  P is the orthogonal change of basis of ``_swap_order`` and
+    ``_pair_butterfly``.
+
+    Precondition: h commutes with the swap of copies 1 and 2 of every
+    context, as every RHS and product power of the hierarchy does; that is
+    also why the blocks off the diagonal are dropped.  Only the rows are
+    butterflied: g = P h with its columns in ``order`` then satisfies
+    g[r, swap(c)] = +-g[r, c], the sign of r's sector, so on a diagonal
+    block the column butterfly just multiplies column c by
+    sqrt(|O_c|) (``scale``): (P h P^T)[r, c] = sqrt(|O_c|) g[r, c]."""
+    _, pairs, sectors, _, scale = _swap_order(ctx_dims, n)
     if len(sectors) == 1:
-        return [(h + h.conj().T) / 2]
-    # rows, then rows of the conjugate transpose: P h^H P^T = P h P^T
-    x = h[order]
+        return [(x + x.conj().T) / 2]
     _pair_butterfly(x, pairs)
-    x = x.conj().T[order]
-    _pair_butterfly(x, pairs)
-    shape = _sector_shape(pairs, order.size)
+    shape = _sector_shape(pairs, x.shape[0])
     x = x.reshape(shape + shape)
+    scale = scale.reshape(shape)
     blocks = []
     for _, slices in sectors:
-        blk = x[slices + (slice(None),) + slices]
+        blk = x[slices + (slice(None),) + slices] * scale[slices]
         blk = blk.reshape(math.prod(blk.shape[:len(shape)]), -1)
         blocks.append((blk + blk.conj().T) / 2)
     return blocks
+
+
+def _swap_blocks(h: np.ndarray, ctx_dims: tuple[int, ...], n: int) -> list[np.ndarray]:
+    """``_split_sectors`` of an already formed Hermitian ``h`` that commutes
+    with the per-context swaps, after one ``np.ix_`` gather into the order
+    of ``_swap_order``; ``h`` is left as it is."""
+    order = _swap_order(ctx_dims, n)[0]
+    return _split_sectors(h[np.ix_(order, order)], ctx_dims, n)
 
 
 def _hermitian_real(a: np.ndarray) -> np.ndarray:
@@ -317,7 +345,7 @@ def _sector_min_eig(blocks: Sequence[np.ndarray], ctx_dims: tuple[int, ...], n: 
     goes to ``eigh`` and replaces the best only when its bottom eigenvalue
     is strictly smaller.  The winning block's bottom eigenvector y is
     mapped back as P^T y.  With one sector (n = 1) this is plain ``eigh``."""
-    order, pairs, sectors = _swap_order(ctx_dims, n)
+    order, pairs, sectors, inverse, _ = _swap_order(ctx_dims, n)
     k = first = min(range(len(blocks)), key=lambda i: blocks[i].shape[0])
     w, v = np.linalg.eigh(blocks[first])
     lam, y = w[0], v[:, 0]
@@ -331,27 +359,27 @@ def _sector_min_eig(blocks: Sequence[np.ndarray], ctx_dims: tuple[int, ...], n: 
     part = vec.reshape(_sector_shape(pairs, order.size))[sectors[k][1]]
     part[...] = y.reshape(part.shape)
     _pair_butterfly(vec, pairs, back=True)
-    out = np.empty_like(vec)
-    out[order] = vec
-    return float(lam), out
+    return float(lam), vec[inverse]
 
 
-def _dense_gap(rhs: np.ndarray, mats: Sequence[np.ndarray], n: int, lhs_scale: float
-               ) -> tuple[float, np.ndarray]:
+def _dense_gap(rhs_blocks: Sequence[np.ndarray], mats: Sequence[np.ndarray], n: int,
+               lhs_scale: float) -> tuple[float, np.ndarray]:
     """Smallest eigenpair of rhs - lhs_scale * rho^{x n}, rho = mats[0] x ...
     x mats[m-1], solved sector by sector.
 
-    ``rhs`` is the formed RHS matrix on the kept space of n copies (real for
-    a wiring sum, complex for a subspace projector).  It is split by
-    ``_swap_blocks``, the product power's blocks are Kronecker products of
-    per-context two-copy blocks (``_power_blocks``), and each difference
-    r - lhs_scale * p is formed out of place, so either dtype serves; rho^{x n}
-    is never formed.  ``_sector_min_eig`` then runs ``eigh`` on the smallest
-    difference and clears the others with a shifted Cholesky, which is sound
-    up to its backward error.  The context dimensions are those of
-    ``mats``."""
+    ``rhs_blocks`` are the sector blocks of the RHS on the kept space of n
+    copies (real for a wiring sum, complex for a subspace projector), which
+    commutes with every per-context swap of copies 1 and 2: a wiring sum's
+    come from ``_split_sectors`` of its matrix scattered in the order of
+    ``_swap_order``, a formed matrix's from ``_swap_blocks``.  The product
+    power's blocks are Kronecker products of per-context two-copy blocks
+    (``_power_blocks``), and each difference r - lhs_scale * p is formed
+    out of place, so either dtype serves; rho^{x n} is never formed.
+    ``_sector_min_eig`` then runs ``eigh`` on the smallest difference and
+    clears the others with a shifted Cholesky, which is sound up to its
+    backward error.  The context dimensions are those of ``mats``."""
     ctx_dims = tuple(a.shape[0] for a in mats)
-    blocks = [r - lhs_scale * p for r, p in zip(_swap_blocks(rhs, ctx_dims, n),
+    blocks = [r - lhs_scale * p for r, p in zip(rhs_blocks,
                                                   _power_blocks(mats, ctx_dims, n))]
     return _sector_min_eig(blocks, ctx_dims, n)
 
@@ -366,16 +394,22 @@ def _min_gap(ws: WiringSum, mats: Sequence[np.ndarray], n: int, *,
 
     ``ws`` is a scenario sum (slot t*m + i keeps context i), whose kept
     dimension alone picks the solver.  Up to ``_DENSE_EIG_FAST`` its real
-    matrix goes to ``_dense_gap``, one LAPACK solve per sector of the
-    per-context swap of copies 1 and 2.  Above that, Lanczos runs on the
-    full kept space, in float64 when every marginal is real after the
-    Hermitian average (``_hermitian_real``) and in complex128 otherwise.
+    matrix is scattered straight into the order of ``_swap_order``, split in
+    place by ``_split_sectors`` (the sum commutes with the per-context swap
+    of copies 1 and 2) and solved by ``_dense_gap``, at most one LAPACK
+    solve per sector.  Above that, Lanczos runs on the full kept space, in
+    float64 when every marginal is real after the Hermitian average
+    (``_hermitian_real``) and in complex128 otherwise.
     For real marginals the operator is real symmetric, and its minimum is
     reached at a real vector, so a real Krylov space loses nothing.  A
     non-finite Lanczos result raises ``ArithmeticError``."""
     big = ws.layout.out_dim
     if big <= _DENSE_EIG_FAST:
-        return _dense_gap(ws.to_matrix(budget), mats, n, lhs_scale)
+        ctx_dims = tuple(a.shape[0] for a in mats)
+        order = _swap_order(ctx_dims, n)[0]
+        # the matrix is freed once split: only its blocks reach the solve
+        blocks = _split_sectors(ws.to_matrix(budget, order), ctx_dims, n)
+        return _dense_gap(blocks, mats, n, lhs_scale)
 
     herm = [_hermitian_real(a) for a in mats]
     real = not any(np.iscomplexobj(a) for a in herm)
@@ -459,16 +493,19 @@ def hierarchy_check(state: MProductState, n: int, *, tol: Tolerances = TOL,
     densely, split into one block per sector of the per-context swap of
     copies 1 and 2 (four blocks of 100, 60, 60 and 36 on the AB, BC chain at
     n = 2).  Each block is a product of contiguous ranges in one reordering
-    of the kept space, and the tensor power's blocks are Kronecker products
-    of per-context two-copy blocks.  The smallest block goes to ``eigh``,
-    and every other block B only when the Cholesky factorisation of
-    B - lam*I fails, lam the best eigenvalue so far: a success proves B's
-    eigenvalues exceed lam, up to Cholesky's backward error, which is of
-    the order of ``eigh``'s own rounding.  Larger kept dimensions run
-    Lanczos.  Real marginals (real after the Hermitian average) run in real
-    arithmetic on both paths: real blocks on the dense one, a real start
-    vector, basis, wiring-sum matmul and product power on the Lanczos one,
-    whose witness then has zero imaginary part.
+    of the kept space.  The traced symmetrizer commutes with those swaps,
+    so its matrix is scattered straight into that order, only its rows are
+    butterflied into the swap eigenbasis and each column is scaled by
+    sqrt(|O_c|) in place of the column butterfly.  The tensor power's
+    blocks are Kronecker products of per-context two-copy blocks.  The
+    smallest block goes to ``eigh``, and every other block B only when the
+    Cholesky factorisation of B - lam*I fails, lam the best eigenvalue so
+    far: a success proves B's eigenvalues exceed lam, up to Cholesky's
+    backward error, which is of the order of ``eigh``'s own rounding.
+    Larger kept dimensions run Lanczos.  Real marginals (real after the
+    Hermitian average) run in real arithmetic on both paths: real blocks on
+    the dense one, a real start vector, basis, wiring-sum matmul and product
+    power on the Lanczos one, whose witness then has zero imaginary part.
     """
     return _check(state, 1, n, tol, budget)
 
@@ -485,25 +522,13 @@ def ortho_bound_check(state: MProductState, v: int, n: int, *, tol: Tolerances =
     return _check(state, v, n, tol, budget)
 
 
-def subspace_hierarchy_check(state: MProductState, p_v: Operator, n: int, *,
-                             tol: Tolerances = TOL, budget: Budgets = BUDGET
-                             ) -> RealizabilityCertificate:
-    """Realizability check with the joint state confined to a subspace.
-
-    ``p_v`` must be an orthogonal projector on the joint register; the
-    symmetrizer is replaced by the projector onto the symmetric power of its
-    range (the two projectors commute, so the product is that projector).
-    Covers fermionic/bosonic joint spaces and rank-limited joint supports.
-    """
-    if n < 1:
-        raise ValueError(f"level n must be >= 1, got {n}")
-    scen = state.scenario
-    if p_v.space.dims != scen.joint.dims:
-        raise ValueError("projector must act on the scenario's joint register")
-    if not p_v.is_hermitian(1e-8):
-        raise ValueError("p_v is not Hermitian")
-    if np.max(np.abs(p_v.mat @ p_v.mat - p_v.mat)) > 1e-8:
-        raise ValueError("p_v is not idempotent")
+def _subspace_rhs(scen: MarginalScenario, p_v: Operator, n: int, budget: Budgets
+                  ) -> np.ndarray:
+    """The formed RHS of ``subspace_hierarchy_check``: the projector onto the
+    symmetric power of the range of ``p_v`` on n*m joint slots, partial-traced
+    to the kept space of n copies.  It commutes with every slot permutation
+    before the trace, so with every per-context swap of copies 1 and 2
+    after it."""
     nm = n * scen.m
     # sym_projector checks dense_dim before _kron_power allocates the same size
     s = sym_projector(scen.d_joint, nm, budget).mat @ _kron_power(p_v.mat, nm)
@@ -516,8 +541,37 @@ def subspace_hierarchy_check(state: MProductState, p_v: Operator, n: int, *,
         for j, x in enumerate(scen.joint.names):
             if x not in ctx:
                 drop.append(slot * nlab + j)
-    rhs = partial_trace(Operator(big_space, s), drop).mat
-    gap, wvec = _dense_gap(rhs, [rho.mat for rho in state.marginals], n, 1.0)
+    return partial_trace(Operator(big_space, s), drop).mat
+
+
+def subspace_hierarchy_check(state: MProductState, p_v: Operator, n: int, *,
+                             tol: Tolerances = TOL, budget: Budgets = BUDGET
+                             ) -> RealizabilityCertificate:
+    """Realizability check with the joint state confined to a subspace.
+
+    ``p_v`` must be an orthogonal projector on the joint register; the
+    symmetrizer is replaced by the projector onto the symmetric power of its
+    range (the two projectors commute, so the product is that projector).
+    Covers fermionic/bosonic joint spaces and rank-limited joint supports.
+    ``p_v`` must carry the joint register's labels in its order, as
+    ``marginals_of`` requires of a state.  The formed RHS is gathered once
+    into the copy-swap order and split like ``hierarchy_check``'s.
+    """
+    if n < 1:
+        raise ValueError(f"level n must be >= 1, got {n}")
+    scen = state.scenario
+    if p_v.space.dims != scen.joint.dims or p_v.space.names != scen.joint.names:
+        raise ValueError(
+            f"projector must act on the scenario's joint register in its label order: "
+            f"projector labels {p_v.space.labels}, joint register {scen.joint.labels}")
+    if not p_v.is_hermitian(1e-8):
+        raise ValueError("p_v is not Hermitian")
+    if np.max(np.abs(p_v.mat @ p_v.mat - p_v.mat)) > 1e-8:
+        raise ValueError("p_v is not idempotent")
+    mats = [rho.mat for rho in state.marginals]
+    ctx_dims = tuple(a.shape[0] for a in mats)
+    rhs_blocks = _swap_blocks(_subspace_rhs(scen, p_v, n, budget), ctx_dims, n)
+    gap, wvec = _dense_gap(rhs_blocks, mats, n, 1.0)
     return _certificate(gap, wvec, n, scen, tol)
 
 

@@ -251,8 +251,9 @@ class WiringSum:
     block and sector, and one read-only stacked ``(count, k, k)`` float64
     array per group.  A matvec is then one gather, one real matmul per
     group (all m sectors of a class as columns) and one scatter.
-    ``to_matrix`` returns the sum as a float64 matrix: every coefficient and
-    every entry of a permutation is real.
+    ``to_matrix`` returns the sum as a float64 matrix, every coefficient and
+    every entry of a permutation being real, and can scatter it straight
+    into any reordering of its rows and columns.
     """
 
     def __init__(self, layout: SlotLayout, terms: Mapping[tuple[int, ...], float]):
@@ -368,14 +369,36 @@ class WiringSum:
         out[order] = h.view(dtype).reshape(-1)
         return out
 
-    def to_matrix(self, budget: Budgets = BUDGET) -> np.ndarray:
+    def to_matrix(self, budget: Budgets = BUDGET, order: np.ndarray | None = None
+                  ) -> np.ndarray:
+        """The sum as a float64 matrix, its rows and columns listed in
+        ``order`` (a permutation of the kept indices) when given.
+
+        Each class block is scattered straight to its rows and columns in
+        that order, so ``to_matrix(budget, order)`` equals
+        ``to_matrix(budget)[np.ix_(order, order)]`` bit for bit with the
+        same single allocation and no gather.  The dense solve passes the
+        copy-swap order of ``qmp._swap_order`` and splits the result in
+        place (``qmp._split_sectors``), which needs the sum to commute with
+        the per-context swaps of copies 1 and 2, as every scenario sum does.
+        The dense cap is checked before anything is allocated."""
         big = self.layout.out_dim
         budget.check_dense(big, "dense wiring sum")
+        pos = self._order
+        if order is not None:
+            order = np.asarray(order)
+            if order.shape != (big,):
+                raise ValueError(f"order of shape {order.shape} for layout dimension {big}")
+            where = np.full(big, -1)
+            where[order] = np.arange(big)
+            if where.min() < 0:
+                raise ValueError("order is not a permutation of the kept indices")
+            pos = where[pos]
         out = np.zeros((big, big))
         lo = 0
         for b, m in zip(self._blocks, self._mults):
             count, k, _ = b.shape
-            idx = self._order[lo:lo + count * k * m].reshape(count, k, 1, m)
+            idx = pos[lo:lo + count * k * m].reshape(count, k, 1, m)
             out[idx, idx.transpose(0, 2, 1, 3)] = b[..., None]
             lo += count * k * m
         return out

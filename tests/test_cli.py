@@ -249,6 +249,19 @@ def test_subspace_full_projector_matches_plain_check(runner, tmp_path):
     assert json.loads(res.output)["verdict"] == "CONSISTENT_AT_LEVEL"
 
 
+@pytest.mark.parametrize("names", ["CBA", "XYZ"])
+def test_subspace_projector_on_another_label_order_exits_2(runner, tmp_path, names):
+    ab = _mixed_pair(tmp_path / "ab.json", "A", "B")
+    bc = _mixed_pair(tmp_path / "bc.json", "B", "C")
+    proj = _write_op(tmp_path / "p.json", [(x, 2) for x in names],
+                     np.kron(np.diag([1.0, 0.0]), np.eye(4)))
+    res = runner.invoke(main, ["qmp", "subspace", ab, bc, "--projector", proj])
+    assert res.exit_code == 2
+    want = tuple((x, 2) for x in names)
+    assert f"projector labels {want}, joint register (('A', 2), ('B', 2), ('C', 2))" \
+        in res.output
+
+
 def test_keyl_command_reports_divergence_and_bound(runner, tmp_path):
     r = _write_op(tmp_path / "r.json", [("A", 2)], np.diag([0.75, 0.25]))
     s = _write_op(tmp_path / "s.json", [("A", 2)], np.diag([0.5, 0.5]))

@@ -1,5 +1,7 @@
 """Realizability checks: hierarchy levels, witnesses, bipartite exact case."""
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -241,7 +243,7 @@ def test_sector_split_witness_on_a_planted_chain_violation():
 
 def _sector_parts(ctx_dims, n):
     """(order, pairs, [(slices, part shape), ...]) of the copy-swap sectors."""
-    order, pairs, sectors = qmp_mod._swap_order(ctx_dims, n)
+    order, pairs, sectors = qmp_mod._swap_order(ctx_dims, n)[:3]
     shape = qmp_mod._sector_shape(pairs, order.size)
     probe = np.zeros(shape)
     return order, pairs, [(slices, probe[slices].shape) for _, slices in sectors]
@@ -407,6 +409,65 @@ def test_power_blocks_match_the_split_of_the_formed_power(source, name, n):
         assert np.array_equal(g, g.conj().T)
         # real marginals (the planted chain) give real blocks
         assert g.dtype == (np.float64 if isinstance(source, float) else np.complex128)
+
+
+def _split_input(case):
+    """(input of ``_split_sectors`` in the copy-swap order, the formed h,
+    ctx_dims, n) for one named RHS or product power."""
+    if case in ("chain-v1", "chain-v2", "qutrit-2", "pair-3"):
+        name, n, v = {"chain-v1": ("chain", 2, 1), "chain-v2": ("chain", 2, 2),
+                      "qutrit-2": ("qutrit", 2, 1), "pair-3": ("pair", 3, 1)}[case]
+        scen = SCENARIOS[name]
+        ctx_dims = tuple(scen.context_space(i).total_dim for i in range(scen.m))
+        ws = qmp_mod._scenario_sum(scen, n, BUDGET, v)
+        order = qmp_mod._swap_order(ctx_dims, n)[0]
+        return ws.to_matrix(BUDGET, order), ws.to_matrix(), ctx_dims, n
+    if case == "subspace-identity":
+        h, ctx_dims, n = qmp_mod._subspace_rhs(PAIR, identity(PAIR.joint), 2, BUDGET), (2, 2), 2
+    else:  # rho x rho for one complex two-qubit marginal, as _power_blocks forms it
+        rho = marginals_of(haar_random_pure_on(CHAIN.joint, 6), CHAIN).marginals[0].mat
+        h, ctx_dims, n = qmp_mod._kron(rho, rho), (4,), 2
+    order = qmp_mod._swap_order(ctx_dims, n)[0]
+    return h[np.ix_(order, order)], h, ctx_dims, n
+
+
+@pytest.mark.parametrize("case", ["chain-v1", "chain-v2", "qutrit-2", "pair-3",
+                                  "subspace-identity", "kron-rho-rho"])
+def test_one_sided_split_matches_the_two_sided_change_of_basis(case):
+    """Butterflying the rows and scaling the columns by sqrt(|O_c|) gives the
+    diagonal blocks of the explicit P h P^T, each exactly Hermitian."""
+    x, h, ctx_dims, n = _split_input(case)
+    assert case != "subspace-identity" or h.dtype == np.complex128
+    blocks = qmp_mod._split_sectors(x, ctx_dims, n)
+    basis = _sector_basis(ctx_dims, n)
+    want = basis.T @ h @ basis
+    lo = 0
+    for b in blocks:
+        hi = lo + b.shape[0]
+        assert np.abs(b - want[lo:hi, lo:hi]).max() <= 1e-13
+        assert np.array_equal(b, b.conj().T)
+        lo = hi
+    assert lo == h.shape[0] and len(blocks) == len(qmp_mod._swap_order(ctx_dims, n)[2])
+
+
+@pytest.mark.parametrize("v", [1, 2])
+def test_warm_dense_chain_check_peaks_below_one_mib(v):
+    """The RHS is scattered in the copy-swap order and split in place: one
+    256 x 256 matrix, no gathered or conjugated copies of it."""
+    st = marginals_of(haar_random_pure_on(CHAIN.joint, 4), CHAIN)
+
+    def check():
+        return ortho_bound_check(st, v, 2) if v > 1 else hierarchy_check(st, 2)
+
+    want = check()  # fills the wiring-sum and swap-order caches
+    tracemalloc.start()
+    try:
+        cert = check()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cert.gap == want.gap
+    assert peak <= 1 << 20
 
 
 def _forbid_product_power(monkeypatch, st):
@@ -756,6 +817,25 @@ def test_subspace_check_with_full_projector_matches_hierarchy_at_level_two(seed)
     a = hierarchy_check(st, 2)
     b = subspace_hierarchy_check(st, identity(PAIR.joint), 2)
     assert b.gap == pytest.approx(a.gap, abs=1e-9)
+
+
+def _chain_with_projector_on(names):
+    """Haar chain marginals and |0><0| on the first label x I x I, written
+    on the register with ``names``."""
+    st = marginals_of(haar_random_pure_on(CHAIN.joint, 5), CHAIN)
+    proj = np.kron(np.diag([1.0, 0.0]), np.eye(4))
+    return st, Operator(space(*((x, 2) for x in names)), proj)
+
+
+def test_subspace_check_requires_the_joint_label_order():
+    st, proj = _chain_with_projector_on("ABC")
+    assert math.isfinite(subspace_hierarchy_check(st, proj, 1).gap)
+    for names in ("CBA", "XYZ"):
+        st, proj = _chain_with_projector_on(names)
+        want = (f"projector labels {proj.space.labels}, "
+                f"joint register {CHAIN.joint.labels}")
+        with pytest.raises(ValueError, match=re.escape(want)):
+            subspace_hierarchy_check(st, proj, 1)
 
 
 def test_subspace_check_restricts_support_at_level_two():

@@ -1,13 +1,14 @@
 """Symmetric-subspace projectors, traced permutation wirings, biriffle sums."""
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from qrealize.config import BUDGET, ResourceBudgetError
 from qrealize.partitions import Partition, double_cosets, partitions_of
-from qrealize.qmp import _wiring_sum
+from qrealize.qmp import _swap_order, _wiring_sum
 from qrealize.symmetrizer import (
     SlotLayout,
     WiringOperator,
@@ -427,6 +428,61 @@ def test_compiled_to_matrix_matches_term_by_term_sum(scen, n):
         got = ws.to_matrix()
         assert got.dtype == np.float64
         assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+
+
+QUTRIT_CHAIN = ((("A", 3), ("B", 2)), (("A", "B"), ("A",)))
+
+
+def _ordered_cases():
+    """(wiring sum, [orders]): the chain at level 2 for v = 1 and v = 2 and
+    the qutrit chain at level 2, each in its copy-swap order and one random
+    order, and a keep-every-wire projector layout in a random order."""
+    rng = np.random.default_rng(24)
+    cases = []
+    for (labels, contexts), v in ((CHAIN, 1), (CHAIN, 2), (QUTRIT_CHAIN, 1)):
+        ws = _wiring_sum(labels, contexts, 2, v)
+        ctx_dims = tuple(math.prod(dict(labels)[x] for x in ctx) for ctx in contexts)
+        cases.append((ws, [_swap_order(ctx_dims, 2)[0], rng.permutation(ws.layout.out_dim)]))
+    every_wire = SlotLayout(3, (("Q", 3),), (("Q", (0, 1, 2)),))
+    ws = traced_permutation_sum(every_wire, isotypic_band_weight(3, 2))
+    cases.append((ws, [rng.permutation(27)]))
+    return cases
+
+
+@pytest.mark.parametrize("case", range(4), ids=["chain-v1", "chain-v2", "qutrit-chain",
+                                                 "every-wire"])
+def test_to_matrix_in_order_equals_the_gathered_matrix_bit_for_bit(case):
+    ws, orders = _ordered_cases()[case]
+    full = ws.to_matrix()
+    for order in orders:
+        got = ws.to_matrix(BUDGET, order)
+        want = full[np.ix_(order, order)]
+        assert got.dtype == np.float64 and got.flags.c_contiguous
+        assert got.tobytes() == want.tobytes()
+
+
+def test_to_matrix_rejects_an_order_that_is_not_a_permutation():
+    ws = _wiring_sum(*CHAIN, 1, 1)
+    for order in (np.arange(15), np.r_[0, np.arange(15)], np.arange(16)[::-1] + 1):
+        with pytest.raises((ValueError, IndexError)):
+            ws.to_matrix(BUDGET, order)
+
+
+def test_to_matrix_in_order_checks_the_dense_cap_before_allocating():
+    ws = _wiring_sum(*CHAIN, 2, 1)
+    budget = BUDGET.with_(dense_dim=100)
+    bad_order = np.zeros(3, dtype=np.int64)  # not even valid: the cap comes first
+    tracemalloc.start()
+    try:
+        ws.to_matrix(budget, bad_order)
+    except ResourceBudgetError as exc:
+        error = exc
+    finally:
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+    assert str(error) == "dense wiring sum: dimension 256 exceeds cap dense_dim=100"
+    # less than the 256 int64 positions, let alone the 256 x 256 matrix
+    assert peak < 256 * 8
 
 
 def test_wiring_sum_terms_are_read_only():
