@@ -341,6 +341,30 @@ def trace_with_permutation(ops: Sequence[np.ndarray], block_dims: Sequence[int],
 # DGKS / ARPACK threshold: reorthogonalize again when one classical
 # Gram-Schmidt pass keeps less than this fraction of the vector's norm
 _REORTH_AGAIN = 0.717
+_EPS = 2.0 ** -52  # float64 machine epsilon
+# semi-orthogonality: while every |<q_i, q_k>| stays below sqrt(eps), the
+# Ritz values are as accurate as with a fully orthogonal basis
+_SEMI_ORTHO = math.sqrt(_EPS)
+# a cycle stops once the Ritz residual is below this times the spectral spread
+_RESIDUAL_TOL = 1e-9
+
+
+def _omega_row(omega: np.ndarray, tri: np.ndarray, j: int, a: float, b: float,
+               noise: float) -> float:
+    """Simon's recurrence: fill omega[j + 1, :j + 1], the estimates of
+    <q_{j+1}, q_k> for k <= j, from rows j and j - 1 and the tridiagonal
+    ``tri`` so far (a = alpha_j, b = beta_{j+1}).  ``noise`` is the
+    rounding error of one Lanczos step, added with the sign that grows each
+    estimate; entry j, which the recurrence does not reach, is noise / b.
+    Returns the largest |estimate|."""
+    est = tri[:j + 1, :j + 1] @ omega[j, :j + 1]
+    # k < j (none at j = 0); entry j keeps only the rounding term
+    est[:j] -= a * omega[j, :j] + tri[j, j - 1] * omega[j - 1, :j]
+    est[j] = 0.0
+    est += np.copysign(noise, est)
+    est /= b
+    omega[j + 1, :j + 1] = est
+    return float(np.abs(est).max())
 
 
 def lanczos_min_eig(
@@ -349,24 +373,43 @@ def lanczos_min_eig(
     *,
     block: int = 64,
     cycles: int = 40,
-    tol: float = 1e-9,
     seed: int = 7,
     budget: Budgets = BUDGET,
     dtype: type = np.complex128,
 ) -> tuple[float, np.ndarray]:
     """Smallest eigenvalue of a Hermitian operator via restarted Lanczos.
 
-    Each cycle runs up to ``block`` Lanczos steps with full reorthogonalization,
-    takes the bottom Ritz pair of the tridiagonal, and restarts from that Ritz
-    vector.  Each step runs one classical Gram-Schmidt pass against the whole
-    basis, and a second one only when the first shrinks the vector's norm to
-    at most 0.717 of what it was (Kahan's "twice is enough"; the DGKS test
-    ARPACK uses), so the basis stays orthogonal to working precision at the
-    cost of one pass in the common case.  The returned value is a Rayleigh
-    quotient, so it can only overestimate the true minimum: a reported
-    negative eigenvalue is always genuine, which is what a one-sided
-    feasibility verdict needs.  Stops when the Ritz residual drops below
-    ``tol`` times the observed spectral spread, or when restarts stop
+    Each cycle runs up to ``block`` Lanczos steps with partial
+    reorthogonalization (Simon, Math. Comp. 42, 1984), takes the bottom
+    Ritz pair of the tridiagonal, and restarts from that Ritz vector.  Each
+    step updates Simon's recurrence for omega[j + 1, k], an estimate of
+    <q_{j+1}, q_k> for every k <= j, from the alphas and betas alone, in a
+    few operations on length-j arrays:
+
+        beta_{j+1} omega[j+1, k] = beta_{k+1} omega[j, k+1]
+            + (alpha_k - alpha_j) omega[j, k] + beta_k omega[j, k-1]
+            - beta_j omega[j-1, k] +- u ||T||,
+
+    with omega[i, i] = 1 and omega[i + 1, i] = u ||T|| / beta_{i+1}.  Here
+    u = sqrt(dim) eps / 2 is the rounding level of a length-dim inner
+    product, ||T|| the largest |alpha_j| + beta_j + beta_{j+1} seen so far,
+    and the sign of the rounding term is the one that grows the estimate.
+    Only when some |omega[j + 1, k]| exceeds sqrt(eps), and again at the
+    step after, does the new vector get a classical Gram-Schmidt pass
+    against the whole basis; a second pass follows when the first shrinks
+    the vector's norm to at most 0.717 of what it was (Kahan's "twice is
+    enough"; the DGKS test ARPACK uses).  Both rows touched are then reset
+    to u.  A vector whose norm is already below the breakdown floor gets
+    the pass too.  So the basis stays semi-orthogonal, |<q_i, q_k>| about
+    sqrt(eps) at worst, which keeps the Ritz values accurate to working
+    precision, and most steps do not read the basis at all.
+
+    Soundness does not rest on that orthogonality: the returned value is
+    the Rayleigh quotient of the normalised Ritz vector y, computed from a
+    fresh ``apply_h(y)``, so it can only overestimate the true minimum.  A
+    reported negative eigenvalue is always genuine, which is what a
+    one-sided feasibility verdict needs.  Stops when the Ritz residual drops
+    below 1e-9 times the observed spectral spread, or when restarts stop
     improving the estimate.  ``dim`` is checked against ``budget.matvec_dim``.
 
     ``dtype`` is the arithmetic of the Krylov space.  With ``np.float64``
@@ -393,45 +436,55 @@ def lanczos_min_eig(
     best_theta = math.inf
     best_vec = v
     basis = np.empty((block, dim), dtype=v.dtype)
+    # the tridiagonal, and omega[i, k] ~ <q_i, q_k>; every entry a cycle
+    # reads is written earlier in that cycle
+    tri = np.zeros((block, block))
+    omega = np.eye(block)
+    anorm = 0.0
+    # rounding level of a length-dim inner product
+    unit = _EPS * math.sqrt(dim) / 2
     for cycle in range(cycles):
-        alphas: list[float] = []
-        betas: list[float] = []
+        floor = 1e-13 * max(1.0, spread)
+        again = False
         basis[0] = v
         w = apply_h(v)
         steps = 1
         for j in range(block):
             a = float(np.real(np.vdot(basis[j], w)))
-            alphas.append(a)
-            # out of place: apply_h may return a view of its input
-            w = w - a * basis[j]
-            if j > 0:
-                w -= betas[-1] * basis[j - 1]
-            # full reorthogonalization; conjugating the product instead of
-            # the basis avoids a (j+1, dim) copy.  A second pass runs only
-            # when the first cancelled most of w ("twice is enough").
-            local = float(np.linalg.norm(w))
-            w -= (basis[: j + 1] @ w.conj()).conj() @ basis[: j + 1]
-            b = float(np.linalg.norm(w))
-            if b <= _REORTH_AGAIN * local:
-                w -= (basis[: j + 1] @ w.conj()).conj() @ basis[: j + 1]
-                b = float(np.linalg.norm(w))
+            tri[j, j] = a
             if j + 1 == block or j + 1 == dim:
                 steps = j + 1
                 break
-            if b < 1e-13 * max(1.0, spread):
+            # out of place: apply_h may return a view of its input
+            w = w - a * basis[j]
+            beta = 0.0
+            if j > 0:
+                beta = tri[j, j - 1]
+                w -= beta * basis[j - 1]
+            b = float(np.linalg.norm(w))
+            anorm = max(anorm, abs(a) + beta + b)
+            full = (again or b < floor
+                    or _omega_row(omega, tri, j, a, b, unit * anorm) > _SEMI_ORTHO)
+            if full:
+                # conjugating the product instead of the basis avoids a
+                # (j+1, dim) copy
+                local = b
+                w -= (basis[: j + 1] @ w.conj()).conj() @ basis[: j + 1]
+                b = float(np.linalg.norm(w))
+                if b <= _REORTH_AGAIN * local:
+                    w -= (basis[: j + 1] @ w.conj()).conj() @ basis[: j + 1]
+                    b = float(np.linalg.norm(w))
+                omega[j + 1, : j + 1] = unit
+            again = full and not again
+            if b < floor:
                 steps = j + 1
                 break
-            betas.append(b)
+            tri[j, j + 1] = tri[j + 1, j] = b
             basis[j + 1] = w / b
             w = apply_h(basis[j + 1])
             steps = j + 2
-        t = np.diag(np.asarray(alphas[:steps]))
-        if steps > 1:
-            off = np.asarray(betas[: steps - 1])
-            t += np.diag(off, 1) + np.diag(off, -1)
-        evals, evecs = np.linalg.eigh(t)
+        evals, evecs = np.linalg.eigh(tri[:steps, :steps])
         spread = max(spread, float(evals[-1] - evals[0]), abs(float(evals[0])))
-        theta = float(evals[0])
         y = evecs[:, 0] @ basis[:steps]
         y /= np.linalg.norm(y)
         hy = apply_h(y)
@@ -440,7 +493,7 @@ def lanczos_min_eig(
         improved = theta < best_theta - 1e-12 * spread
         if theta < best_theta:
             best_theta, best_vec = theta, y
-        if residual <= tol * spread:
+        if residual <= _RESIDUAL_TOL * spread:
             break
         if steps < block and not improved:
             # Krylov space closed without progress: restart from fresh noise

@@ -1,9 +1,11 @@
-"""Reference implementations the tests compare the library against, and the
-tests' writer of operator input files.
+"""Reference implementations the tests compare the library against, the
+tests' writer of operator input files, and their measure of a Lanczos
+basis's orthogonality.
 
 None of these is part of the package: each is the plainest route to a value
 the library computes another way (a dense permutation matrix, a tableau sum),
-or the inverse of the library's operator reader.
+the inverse of the library's operator reader, or a direct measurement of
+what the library only estimates.
 """
 from __future__ import annotations
 
@@ -97,3 +99,15 @@ def write_json(path: str, value) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(dumps(value, indent=2))
         fh.write("\n")
+
+
+def lanczos_basis_overlap(vectors, block: int = 64) -> float:
+    """max |Q Q^H - I| over the Krylov bases Q of a restarted Lanczos run,
+    read from copies of the vectors it handed its matvec, in order: each
+    cycle hands over its ``block`` basis vectors, then its Ritz vector."""
+    assert vectors and len(vectors) % (block + 1) == 0, len(vectors)
+    worst = 0.0
+    for start in range(0, len(vectors), block + 1):
+        q = np.array(vectors[start:start + block])
+        worst = max(worst, float(np.abs(q @ q.conj().T - np.eye(block)).max()))
+    return worst

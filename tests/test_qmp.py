@@ -38,6 +38,8 @@ from qrealize.tensor import (
     space,
 )
 
+from reference import lanczos_basis_overlap
+
 SINGLET = np.array([0, 1, -1, 0]) / np.sqrt(2)
 SINGLET_RHO = np.outer(SINGLET, SINGLET)
 ANTICORR = np.diag([0.0, 0.5, 0.5, 0.0])
@@ -657,6 +659,56 @@ def test_ortho_bound_on_real_marginals_keeps_its_verdict(p, verdict):
     assert cert.verdict == verdict
     assert (want < -TOL.psd) == cert.violated
     assert cert.gap == pytest.approx(want, abs=1e-12)
+
+
+def _planted(p):
+    return triple_product(p * SINGLET_RHO + (1 - p) * np.eye(4) / 4)
+
+
+# level-2 triangle gaps (hierarchy_check, ortho_bound_check with v = 2),
+# recorded when every Lanczos step ran a full Gram-Schmidt pass
+_TRIANGLE_GAPS = [
+    (0.55, None, -0.02510100831919313, VERDICT_VIOLATED, 6.803910467176391, VERDICT_CONSISTENT),
+    (0.7, None, -0.07120986222832032, VERDICT_VIOLATED, 6.810989039507966, VERDICT_CONSISTENT),
+    (0.9, None, -0.2931591114871319, VERDICT_VIOLATED, -11.14878678551856, VERDICT_VIOLATED),
+    (None, 8, -1.613288244672073e-17, VERDICT_CONSISTENT, 6.816666666666665, VERDICT_CONSISTENT),
+    (None, 9, -1.5777100214180628e-17, VERDICT_CONSISTENT, 6.816666666666659,
+     VERDICT_CONSISTENT),
+]
+
+
+@pytest.mark.parametrize("p,seed,gap,verdict,ortho_gap,ortho_verdict", _TRIANGLE_GAPS,
+                         ids=["planted-0.55", "planted-0.7", "planted-0.9", "haar-8", "haar-9"])
+def test_level_two_triangle_gaps_are_pinned(p, seed, gap, verdict, ortho_gap, ortho_verdict):
+    st = _planted(p) if seed is None else marginals_of(haar_random_pure_on(TRIPLE.joint, seed),
+                                                        TRIPLE)
+    cert = hierarchy_check(st, 2)
+    ortho = ortho_bound_check(st, 2, 2)
+    assert (cert.verdict, ortho.verdict) == (verdict, ortho_verdict)
+    assert cert.gap == pytest.approx(gap, abs=1e-13)
+    assert ortho.gap == pytest.approx(ortho_gap, abs=1e-13)
+
+
+@pytest.mark.parametrize("make", [lambda: _planted(0.55),
+                                  lambda: marginals_of(haar_random_pure_on(TRIPLE.joint, 8),
+                                                       TRIPLE)],
+                         ids=["planted-0.55-real", "haar-8-complex"])
+def test_lanczos_basis_stays_semi_orthogonal_on_the_triangle(monkeypatch, make):
+    """Every vector the level-2 solve hands its matvec is kept; each cycle's
+    basis is orthogonal to 1e-6, though most steps run no Gram-Schmidt
+    pass."""
+    seen = []
+    lanczos = qmp_mod.lanczos_min_eig
+
+    def recording(apply_h, dim, **kw):
+        def matvec(v):
+            seen.append(np.array(v))
+            return apply_h(v)
+        return lanczos(matvec, dim, **kw)
+
+    monkeypatch.setattr(qmp_mod, "lanczos_min_eig", recording)
+    hierarchy_check(make(), 2)
+    assert lanczos_basis_overlap(seen) <= 1e-6
 
 
 def test_hierarchy_check_passes_its_budget_to_the_eigensolver():

@@ -22,7 +22,7 @@ from qrealize.tensor import (
     trace_with_permutation,
 )
 
-from reference import permutation_operator
+from reference import lanczos_basis_overlap, permutation_operator
 
 
 def test_space_basics():
@@ -229,13 +229,22 @@ def test_trace_with_permutation_multi_slot_blocks():
 
 @pytest.mark.parametrize("dim", [16, 100, 257])
 def test_lanczos_min_eig_matches_dense(dim):
+    """Every cycle's basis also stays orthogonal to 1e-6 (sqrt(eps) is
+    1.5e-8), though most steps run no Gram-Schmidt pass."""
     rng = np.random.default_rng(dim + 1)
     m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     h = (m + m.conj().T) / 2
     want = np.linalg.eigvalsh(h)[0]
-    lam, vec = lanczos_min_eig(lambda v: h @ v, dim)
+    seen = []
+
+    def matvec(v):
+        seen.append(np.array(v))
+        return h @ v
+
+    lam, vec = lanczos_min_eig(matvec, dim)
     assert lam == pytest.approx(want, abs=1e-8)
     assert np.linalg.norm(h @ vec - lam * vec) < 1e-6
+    assert lanczos_basis_overlap(seen, min(64, dim)) <= 1e-6
 
 
 @pytest.mark.parametrize("dim", [16, 100, 257])
@@ -284,6 +293,19 @@ def test_lanczos_second_reorthogonalization_pass_on_psd():
     vector, so the guarded second pass runs; the minimum must stay exact."""
     rng = np.random.default_rng(1)
     a = rng.normal(size=(60, 60))
+    h = a @ a.T
+    lam, _ = lanczos_min_eig(lambda v: h @ v, 60)
+    assert abs(lam - np.linalg.eigvalsh(h)[0]) <= 1e-10 * np.linalg.norm(h)
+
+
+def test_lanczos_second_reorthogonalization_pass_on_rank_deficient_psd():
+    """A rank-20 PSD operator on 60 dimensions closes its Krylov space after
+    about 21 steps, and the matvec's rounding error lies in its range, which
+    the basis already spans: the Gram-Schmidt pass there cancels most of the
+    vector, so the guarded second pass runs; the minimum (0) must stay
+    exact."""
+    rng = np.random.default_rng(0)
+    a = rng.normal(size=(60, 20))
     h = a @ a.T
     lam, _ = lanczos_min_eig(lambda v: h @ v, 60)
     assert abs(lam - np.linalg.eigvalsh(h)[0]) <= 1e-10 * np.linalg.norm(h)
