@@ -601,20 +601,16 @@ def born_ratio_cmd(projector, observable, copies):
 @_command("biriffle", _file("operators", many=True),
           _opt("-d --dim", _int, help="Local dimension d.", required=True),
           _flag("--symmetrize", "Project the inputs onto the symmetric subspace first."),
-          _opt("--budget-perms", _int, help=(
-              "Cap on the n! slot permutations that build the symmetric projector "
-              "(--symmetrize, and the bound for two operators). Sets perms_matrix_free.")),
-          _BUDGET_DIM, _OUT)
-def biriffle_cmd(operators, dim, symmetrize, budget_perms, budget_dim, out):
+          _OUT)
+def biriffle_cmd(operators, dim, symmetrize, out):
     """Averaged interleaving sum of k tensor-power operators."""
     from .symmetrizer import bibiriffle_lower_bound, biriffle_value
 
-    budget = _budget(budget_perms, budget_dim)
     xs = [_load_operator(p).mat for p in operators]
-    value = biriffle_value(xs, dim, symmetrize=symmetrize, budget=budget)
+    value = biriffle_value(xs, dim, symmetrize=symmetrize)
     payload = {"value": value}
     if len(xs) == 2:
-        p_n, bound = bibiriffle_lower_bound(xs[0], xs[1], dim, budget=budget)
+        p_n, bound = bibiriffle_lower_bound(xs[0], xs[1], dim)
         payload["bibiriffle_bound"] = bound
         payload["bound_ok"] = bool(p_n >= bound - 1e-12)
     _emit(dumps(payload, indent=2) + "\n", out)

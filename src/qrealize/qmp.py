@@ -21,13 +21,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .config import BUDGET, TOL, Budgets, Tolerances
+from .config import BUDGET, TOL, Budgets, ResourceBudgetError, Tolerances
 from .partitions import littlewood_richardson, partitions_of, \
     schur_polynomial, specht_dim, weyl_dim
-from .symmetrizer import WiringSum, check_perms_budget, isotypic_band_weight, \
-    scenario_layout, sym_projector, traced_permutation_sum
+from .symmetrizer import WiringSum, _sym_isometry, check_perms_budget, \
+    isotypic_band_weight, scenario_layout, traced_permutation_sum
 from .tensor import DensityOperator, LabeledSpace, Operator, PureState, \
-    _kron_power, as_matrix, lanczos_min_eig, partial_trace, power_space
+    _kron_power, as_matrix, lanczos_min_eig
 
 VERDICT_CONSISTENT = "CONSISTENT_AT_LEVEL"
 VERDICT_VIOLATED = "VIOLATED"
@@ -368,16 +368,14 @@ def _dense_gap(rhs_blocks: Sequence[np.ndarray], mats: Sequence[np.ndarray], n: 
     x mats[m-1], solved sector by sector.
 
     ``rhs_blocks`` are the sector blocks of the RHS on the kept space of n
-    copies (real for a wiring sum, complex for a subspace projector), which
-    commutes with every per-context swap of copies 1 and 2: a wiring sum's
-    come from ``_split_sectors`` of its matrix scattered in the order of
-    ``_swap_order``, a formed matrix's from ``_swap_blocks``.  The product
-    power's blocks are Kronecker products of per-context two-copy blocks
-    (``_power_blocks``), and each difference r - lhs_scale * p is formed
-    out of place, so either dtype serves; rho^{x n} is never formed.
-    ``_sector_min_eig`` then runs ``eigh`` on the smallest difference and
-    clears the others with a shifted Cholesky, which is sound up to its
-    backward error.  The context dimensions are those of ``mats``."""
+    copies (real for a wiring sum or a real subspace projector), which
+    commutes with every per-context swap of copies 1 and 2: ``_split_sectors``
+    splits them from its matrix formed in the order of ``_swap_order``.  The
+    product power's blocks are Kronecker products of per-context two-copy
+    blocks (``_power_blocks``), and each difference r - lhs_scale * p is
+    formed out of place, so either dtype serves; rho^{x n} is never formed.
+    The differences go to ``_sector_min_eig``; the context dimensions are
+    those of ``mats``."""
     ctx_dims = tuple(a.shape[0] for a in mats)
     blocks = [r - lhs_scale * p for r, p in zip(rhs_blocks,
                                                   _power_blocks(mats, ctx_dims, n))]
@@ -490,22 +488,10 @@ def hierarchy_check(state: MProductState, n: int, *, tol: Tolerances = TOL,
     tuple's n-th tensor power.  A gap below -tol.psd is a sound certificate
     that no joint pure state has these marginals; a non-negative gap only
     rules nothing out at this level.  Kept dimensions up to 1024 solve
-    densely, split into one block per sector of the per-context swap of
-    copies 1 and 2 (four blocks of 100, 60, 60 and 36 on the AB, BC chain at
-    n = 2).  Each block is a product of contiguous ranges in one reordering
-    of the kept space.  The traced symmetrizer commutes with those swaps,
-    so its matrix is scattered straight into that order, only its rows are
-    butterflied into the swap eigenbasis and each column is scaled by
-    sqrt(|O_c|) in place of the column butterfly.  The tensor power's
-    blocks are Kronecker products of per-context two-copy blocks.  The
-    smallest block goes to ``eigh``, and every other block B only when the
-    Cholesky factorisation of B - lam*I fails, lam the best eigenvalue so
-    far: a success proves B's eigenvalues exceed lam, up to Cholesky's
-    backward error, which is of the order of ``eigh``'s own rounding.
-    Larger kept dimensions run Lanczos.  Real marginals (real after the
-    Hermitian average) run in real arithmetic on both paths: real blocks on
-    the dense one, a real start vector, basis, wiring-sum matmul and product
-    power on the Lanczos one, whose witness then has zero imaginary part.
+    densely, one block per sector of the per-context swap of copies 1 and 2
+    (``_min_gap``, ``_split_sectors``, ``_sector_min_eig``); larger ones run
+    Lanczos.  Real marginals (real after the Hermitian average) run in real
+    arithmetic on both paths, so a Lanczos witness has zero imaginary part.
     """
     return _check(state, 1, n, tol, budget)
 
@@ -524,24 +510,32 @@ def ortho_bound_check(state: MProductState, v: int, n: int, *, tol: Tolerances =
 
 def _subspace_rhs(scen: MarginalScenario, p_v: Operator, n: int, budget: Budgets
                   ) -> np.ndarray:
-    """The formed RHS of ``subspace_hierarchy_check``: the projector onto the
-    symmetric power of the range of ``p_v`` on n*m joint slots, partial-traced
-    to the kept space of n copies.  It commutes with every slot permutation
-    before the trace, so with every per-context swap of copies 1 and 2
-    after it."""
+    """The factor A whose Gram product A A^H is the RHS of
+    ``subspace_hierarchy_check``: the projector V^{x nm} S S^T V^{H x nm}
+    onto the symmetric power of the range V of ``p_v`` (real for a real
+    projector) on n*m joint slots, partial-traced to the kept space of n
+    copies, so it commutes with every per-context swap of copies 1 and 2.
+    A is V^{x nm} S with its wires reordered to (kept | dropped, type); V
+    acts on one slot at a time, so no intermediate exceeds A."""
     nm = n * scen.m
-    # sym_projector checks dense_dim before _kron_power allocates the same size
-    s = sym_projector(scen.d_joint, nm, budget).mat @ _kron_power(p_v.mat, nm)
-    big_space = power_space(scen.joint, nm)
-    # wires: slot-major, joint label order inside each slot
-    nlab = scen.joint.nslots
-    drop = []
-    for slot in range(nm):
-        ctx = scen.contexts[slot % scen.m]
-        for j, x in enumerate(scen.joint.names):
-            if x not in ctx:
-                drop.append(slot * nlab + j)
-    return partial_trace(Operator(big_space, s), drop).mat
+    budget.check_dense(scen.kept_dim ** n, "subspace RHS")
+    w, u = np.linalg.eigh(_hermitian_real(p_v.mat))
+    v = u[:, w > 0.5]
+    r = v.shape[1]
+    types = math.comb(nm + r - 1, nm)
+    size = scen.d_joint ** nm * types
+    if size > budget.dense_dim ** 2:
+        raise ResourceBudgetError(f"subspace RHS factor: {size} entries exceed cap "
+                                  f"dense_dim**2={budget.dense_dim ** 2}")
+    a = _sym_isometry(r, nm).reshape((r,) * nm + (types,))
+    for _ in range(nm):  # V on the leading slot, rotated to the back
+        a = np.tensordot(a, v, axes=(0, 1))
+    # axes: the type, then the wires slot-major; kept wires first, in order
+    wires = scen.joint.names * nm
+    kept = [x in scen.contexts[w // scen.joint.nslots % scen.m] for w, x in enumerate(wires)]
+    axes = sorted(range(1, len(wires) + 1), key=lambda ax: not kept[ax - 1]) + [0]
+    a = a.reshape((types,) + scen.joint.dims * nm).transpose(axes)
+    return a.reshape(scen.kept_dim ** n, -1)
 
 
 def subspace_hierarchy_check(state: MProductState, p_v: Operator, n: int, *,
@@ -554,8 +548,10 @@ def subspace_hierarchy_check(state: MProductState, p_v: Operator, n: int, *,
     range (the two projectors commute, so the product is that projector).
     Covers fermionic/bosonic joint spaces and rank-limited joint supports.
     ``p_v`` must carry the joint register's labels in its order, as
-    ``marginals_of`` requires of a state.  The formed RHS is gathered once
-    into the copy-swap order and split like ``hierarchy_check``'s.
+    ``marginals_of`` requires of a state.  The RHS A A^H is formed with the
+    rows of ``_subspace_rhs``'s factor A in the copy-swap order, then split
+    and solved like ``hierarchy_check``'s dense path.  ``dense_dim`` caps the
+    kept dimension, and ``dense_dim**2`` the entries of A.
     """
     if n < 1:
         raise ValueError(f"level n must be >= 1, got {n}")
@@ -570,7 +566,8 @@ def subspace_hierarchy_check(state: MProductState, p_v: Operator, n: int, *,
         raise ValueError("p_v is not idempotent")
     mats = [rho.mat for rho in state.marginals]
     ctx_dims = tuple(a.shape[0] for a in mats)
-    rhs_blocks = _swap_blocks(_subspace_rhs(scen, p_v, n, budget), ctx_dims, n)
+    a = _subspace_rhs(scen, p_v, n, budget)[_swap_order(ctx_dims, n)[0]]
+    rhs_blocks = _split_sectors(a @ a.conj().T, ctx_dims, n)
     gap, wvec = _dense_gap(rhs_blocks, mats, n, 1.0)
     return _certificate(gap, wvec, n, scen, tol)
 

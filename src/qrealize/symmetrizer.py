@@ -2,10 +2,10 @@
 
 Three layers live here:
 
-* dense projectors onto the symmetric and the general isotypic subspaces
-  of (C^d)^{otimes k}: character-weighted permutation sums, built
-  as wiring sums whose layout keeps every wire (so each traced permutation is
-  the permutation itself);
+* the symmetric subspace of N slots of C^r through its isometry S, with
+  S[w, type(w)] = multinomial(type(w))^{-1/2} over the r^N words and S S^T
+  the symmetric projector (Harrow, arXiv:1308.6595); the other isotypic
+  projectors as dense character-weighted permutation sums;
 
 * a wiring engine that partial-traces a permutation operator over any subset
   of (slot, label) wires without materializing the big space — each traced
@@ -27,7 +27,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from types import MappingProxyType
 from typing import Callable, Mapping, Sequence
 
@@ -56,26 +56,35 @@ def _character_weight(n: int, lams: Sequence[Partition]) -> Callable[[Partition]
     return lambda t: table[t.parts]
 
 
-def _dense_sum(d: int, k: int, lams: Sequence[Partition], budget: Budgets) -> Operator:
-    """Sum of the lam-isotypic projectors on slots s0..s{k-1} of C^d, dense.
+@lru_cache(maxsize=32)
+def _type_index(r: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (type, mult) over the r^n words of n letters from r:
+    ``type[w]`` is word w's column in S, the rank of its sorted letters, and
+    ``mult[t]`` is type t's multinomial, its number of words."""
+    letters = np.sort(np.indices((r,) * n).reshape(n, r ** n), axis=0)
+    _, tid, mult = np.unique(letters, axis=1, return_inverse=True, return_counts=True)
+    for a in (tid, mult):
+        a.setflags(write=False)
+    return tid, mult
 
-    A wiring sum whose layout keeps every wire: each traced permutation is
-    the permutation itself, with scalar 1."""
-    budget.check_dense(d ** k, f"dense permutation sum on {k} slots of C^{d}")
-    layout = SlotLayout(k, (("Q", d),), (("Q", tuple(range(k))),))
-    ws = traced_permutation_sum(layout, _character_weight(k, lams), budget)
-    return Operator(LabeledSpace(tuple((f"s{t}", d) for t in range(k))), ws.to_matrix(budget))
+
+def _sym_isometry(r: int, n: int) -> np.ndarray:
+    """The isometry S of n slots of C^r, dense: r^n x binom(n+r-1, n)."""
+    tid, mult = _type_index(r, n)
+    return (tid[:, None] == np.arange(mult.size)) / np.sqrt(mult)
 
 
 def sym_projector(d: int, k: int, budget: Budgets = BUDGET) -> Operator:
-    """Orthogonal projector onto the symmetric subspace of k slots of C^d:
-    the isotypic projector of the one-row shape (k)."""
-    return _dense_sum(d, k, [Partition((k,))], budget)
+    """Orthogonal projector onto the symmetric subspace of k slots of C^d,
+    S S^T filled entrywise: 1/mult where two words share a type, else 0."""
+    budget.check_dense(d ** k, f"symmetric projector on {k} slots of C^{d}")
+    tid, mult = _type_index(d, k)
+    mat = np.where(tid[:, None] == tid, 1 / mult[tid][:, None], 0j)
+    return Operator(LabeledSpace(tuple((f"s{t}", d) for t in range(k))), mat)
 
 
 def uniform_sym_state(d: int, k: int, budget: Budgets = BUDGET) -> DensityOperator:
-    """The maximally mixed state on the symmetric subspace,
-    projector / binom(k+d-1, k)."""
+    """The maximally mixed state on the symmetric subspace: projector / binom(k+d-1, k)."""
     return DensityOperator(sym_projector(d, k, budget) * (1.0 / math.comb(k + d - 1, k)))
 
 
@@ -83,12 +92,15 @@ def isotypic_projector(lam: Partition, d: int, n: int, budget: Budgets = BUDGET)
     """Projector onto the lam-isotypic component of S_n acting on n slots of C^d.
 
     Built as (specht_dim(lam)/n!) sum_pi character(cycle type of pi) T(pi),
-    the same every-wire wiring sum as ``sym_projector``; the projectors over
-    all lam of size n resolve the identity.
+    a wiring sum whose layout keeps every wire; the projectors over all lam
+    of size n resolve the identity.
     """
     if lam.size != n:
         raise ValueError(f"partition size {lam.size} != number of slots {n}")
-    return _dense_sum(d, n, [lam], budget)
+    budget.check_dense(d ** n, f"dense permutation sum on {n} slots of C^{d}")
+    layout = SlotLayout(n, (("Q", d),), (("Q", tuple(range(n))),))
+    ws = traced_permutation_sum(layout, _character_weight(n, [lam]), budget)
+    return Operator(LabeledSpace(tuple((f"s{t}", d) for t in range(n))), ws.to_matrix(budget))
 
 
 # ---------------------------------------------------------------------------
@@ -474,15 +486,14 @@ def _check_biriffle_inputs(xs, d: int) -> tuple[list[np.ndarray], int]:
     return mats, n
 
 
-def symmetrize_operator(x, d: int, budget: Budgets = BUDGET) -> np.ndarray:
-    """Compress x to the symmetric subspace: projector @ x @ projector."""
+def symmetrize_operator(x, d: int) -> np.ndarray:
+    """Compress x to the symmetric subspace: S (S^T x S) S^T."""
     mats, n = _check_biriffle_inputs([x], d)
-    p = sym_projector(d, n, budget).mat
-    return p @ mats[0] @ p
+    s = _sym_isometry(d, n)
+    return s @ (s.T @ mats[0] @ s) @ s.T
 
 
-def biriffle_value(xs: Sequence, d: int, *, symmetrize: bool = False,
-                   budget: Budgets = BUDGET) -> float:
+def biriffle_value(xs: Sequence, d: int, *, symmetrize: bool = False) -> float:
     """Tr(uniform-symmetric-state average of X_1 x ... x X_k) via double cosets.
 
     Each X_i acts on n slots of C^d and must be fixed by slot permutations
@@ -494,8 +505,7 @@ def biriffle_value(xs: Sequence, d: int, *, symmetrize: bool = False,
     mats, n = _check_biriffle_inputs(xs, d)
     k = len(mats)
     if symmetrize:
-        p = sym_projector(d, n, budget).mat
-        mats = [p @ m @ p for m in mats]
+        mats = [symmetrize_operator(m, d) for m in mats]
     total = 0.0 + 0.0j
     for _, card, rep in double_cosets(n, k):
         total += card * trace_with_permutation(mats, [n] * k, rep, d)
@@ -520,16 +530,13 @@ def biriffle_bruteforce(xs: Sequence, d: int, budget: Budgets = BUDGET) -> float
     return float(val.real)
 
 
-def bibiriffle_lower_bound(x1, x2, d: int, *, budget: Budgets = BUDGET
-                           ) -> tuple[float, float]:
-    """(p_n(X1, X2), Tr(uniform-symmetric-state X1 X2) / (2n)^(d-1)).
-
-    For permutation-fixed positive semidefinite inputs the first entry
-    dominates the second.  The symmetric state is the dense projector, built
-    under ``budget``'s caps.
-    """
+def bibiriffle_lower_bound(x1, x2, d: int) -> tuple[float, float]:
+    """(p_n(X1, X2), Tr(S^T X1 X2 S) / binom(n+d-1, n) / (2n)^(d-1)), the
+    second being Tr(uniform-symmetric-state X1 X2) / (2n)^(d-1).  For
+    permutation-fixed positive semidefinite inputs the first dominates it."""
     mats, n = _check_biriffle_inputs([x1, x2], d)
     p = biriffle_value(mats, d)
-    sbar = uniform_sym_state(d, n, budget)
-    rhs = float(np.real(np.trace(sbar.mat @ mats[0] @ mats[1]))) / (2 * n) ** (d - 1)
+    s = _sym_isometry(d, n)
+    trace = np.sum((s.T @ mats[0]) * (mats[1] @ s).T)
+    rhs = float(np.real(trace)) / math.comb(n + d - 1, n) / (2 * n) ** (d - 1)
     return p, rhs

@@ -425,37 +425,37 @@ def test_biriffle_command_emits_bound_for_pairs(runner, tmp_path):
 
 
 def test_biriffle_on_eight_qubit_slots_runs(runner, tmp_path):
-    # 8! = 40320 permutations build the dense symmetric projector of the bound
+    # the bound's symmetric trace takes the isometry onto the 9 occupation types
     x = _write_op(tmp_path / "x.json", [(f"Q{i}", 2) for i in range(8)], np.eye(256) / 256)
     res = runner.invoke(main, ["biriffle", x, x, "--dim", "2"])
     assert res.exit_code == 0, res.output
     assert json.loads(res.output)["bound_ok"] is True
 
 
-def test_biriffle_symmetrize_without_dense_projector_exits_3(runner, tmp_path):
-    # 10 qubit slots: 10! permutations exceed the one permutation cap; the
-    # file is written directly, since the tests' writer is slow at 1024^2
+def test_biriffle_symmetrize_on_ten_qubit_slots_runs(runner, tmp_path):
+    # 10 qubit slots: 10! permutations exceed the permutation cap, which the
+    # symmetric compression no longer needs; the file is written directly,
+    # since the tests' writer is slow at 1024^2
+    from qrealize.symmetrizer import biriffle_value, symmetrize_operator
+
+    rng = np.random.default_rng(10)
+    mat = rng.integers(-3, 4, size=(1024, 1024))
     x = tmp_path / "x.json"
     x.write_text(json.dumps({"labels": [[f"Q{i}", 2] for i in range(10)],
-                             "re": np.eye(1024, dtype=int).tolist()}))
+                             "re": (mat + mat.T).tolist()}))
     res = runner.invoke(main, ["biriffle", str(x), str(x), "--dim", "2", "--symmetrize"])
-    assert res.exit_code == 3
-    assert "resource budget exceeded" in res.output
-    assert "perms_matrix_free" in res.output
+    assert res.exit_code == 0, res.output
+    sym = symmetrize_operator(mat + mat.T, 2)
+    assert json.loads(res.output)["value"] == pytest.approx(biriffle_value([sym, sym], 2),
+                                                            rel=1e-12)
 
 
-@pytest.mark.parametrize("perms,code", [(5, 3), (6, 0)])
-def test_biriffle_budget_perms_caps_the_symmetric_projector(runner, tmp_path, perms, code):
-    # --symmetrize and the pair bound each build the 3-slot projector from 3! permutations
+def test_biriffle_takes_no_budget_flags(runner, tmp_path):
     x = _write_op(tmp_path / "x.json", [(f"Q{i}", 2) for i in range(3)], np.eye(8) / 8)
-    res = runner.invoke(main, ["biriffle", x, x, "--dim", "2", "--symmetrize",
-                               "--budget-perms", str(perms)])
-    assert res.exit_code == code, res.output
-    if code:
-        assert "resource budget exceeded" in res.output
-        assert "perms_matrix_free=5" in res.output
-    else:
-        assert json.loads(res.output)["bound_ok"] is True
+    for flag in ("--budget-perms", "--budget-dim"):
+        res = runner.invoke(main, ["biriffle", x, x, "--dim", "2", "--symmetrize", flag, "6"])
+        assert res.exit_code == 2, res.output
+        assert f"unrecognized arguments: {flag}" in res.output
 
 
 def test_capacity_command(runner, tmp_path):

@@ -34,6 +34,8 @@ from qrealize.tensor import (
     haar_random_pure_on,
     identity,
     lanczos_min_eig,
+    partial_trace,
+    power_space,
     qubits,
     space,
 )
@@ -424,8 +426,9 @@ def _split_input(case):
         ws = qmp_mod._scenario_sum(scen, n, BUDGET, v)
         order = qmp_mod._swap_order(ctx_dims, n)[0]
         return ws.to_matrix(BUDGET, order), ws.to_matrix(), ctx_dims, n
-    if case == "subspace-identity":
-        h, ctx_dims, n = qmp_mod._subspace_rhs(PAIR, identity(PAIR.joint), 2, BUDGET), (2, 2), 2
+    if case == "subspace-identity":  # the Gram product of the subspace factor
+        a, ctx_dims, n = qmp_mod._subspace_rhs(PAIR, identity(PAIR.joint), 2, BUDGET), (2, 2), 2
+        h = a @ a.T
     else:  # rho x rho for one complex two-qubit marginal, as _power_blocks forms it
         rho = marginals_of(haar_random_pure_on(CHAIN.joint, 6), CHAIN).marginals[0].mat
         h, ctx_dims, n = qmp_mod._kron(rho, rho), (4,), 2
@@ -439,7 +442,7 @@ def test_one_sided_split_matches_the_two_sided_change_of_basis(case):
     """Butterflying the rows and scaling the columns by sqrt(|O_c|) gives the
     diagonal blocks of the explicit P h P^T, each exactly Hermitian."""
     x, h, ctx_dims, n = _split_input(case)
-    assert case != "subspace-identity" or h.dtype == np.complex128
+    assert case != "subspace-identity" or h.dtype == np.float64
     blocks = qmp_mod._split_sectors(x, ctx_dims, n)
     basis = _sector_basis(ctx_dims, n)
     want = basis.T @ h @ basis
@@ -578,7 +581,7 @@ def test_level_below_one_is_rejected_at_entry(monkeypatch, check, n):
         raise AssertionError("ran before the level was checked")
 
     monkeypatch.setattr(qmp_mod, "_scenario_sum", no_work)
-    monkeypatch.setattr(qmp_mod, "sym_projector", no_work)
+    monkeypatch.setattr(qmp_mod, "_subspace_rhs", no_work)
     with pytest.raises(ValueError, match=f"level n must be >= 1, got {n}"):
         check(triple_product(SINGLET_RHO), n)
 
@@ -917,6 +920,63 @@ def test_subspace_check_restricts_support():
     bad = subspace_hierarchy_check(marginals_of(PureState(scen.joint, amp2), scen),
                                    proj, 1)
     assert bad.verdict == VERDICT_VIOLATED
+
+
+def _traced_sym_power(scen, proj, n):
+    """Oracle: the symmetric projector on n*m joint slots times proj^{x nm},
+    dense, partial-traced over the wires each slot's context drops."""
+    nm = n * scen.m
+    big = sym_projector(scen.d_joint, nm).mat @ _kron_power(proj, nm)
+    names = scen.joint.names
+    drop = [w for w, x in enumerate(names * nm)
+            if x not in scen.contexts[w // len(names) % scen.m]]
+    return partial_trace(Operator(power_space(scen.joint, nm), big), drop).mat
+
+
+@pytest.mark.parametrize("scen,n,rank,real", [(CHAIN, 1, 3, False), (PAIR, 2, 3, False),
+                                              (PAIR, 2, 4, True), (CHAIN, 1, 8, True)])
+def test_subspace_factor_gram_product_matches_the_traced_projector(scen, n, rank, real):
+    rng = np.random.default_rng(rank + 10 * n)
+    g = rng.normal(size=(scen.d_joint, rank))
+    if not real:
+        g = g + 1j * rng.normal(size=g.shape)
+    q, _ = np.linalg.qr(g)
+    proj = Operator(scen.joint, q @ q.conj().T)
+    a = qmp_mod._subspace_rhs(scen, proj, n, BUDGET)
+    assert np.isrealobj(a) == real
+    assert np.abs(a @ a.conj().T - _traced_sym_power(scen, proj.mat, n)).max() <= 1e-13
+
+
+W_STATE = np.array([0, 1, 1, 0, 1, 0, 0, 0]) / np.sqrt(3)
+GHZ_STATE = np.array([1, 0, 0, 0, 0, 0, 0, 1]) / np.sqrt(2)
+
+
+def test_subspace_check_runs_the_triangle_at_level_two_in_the_weight_one_span():
+    # A is 4,096 x 1,792 (kept x dropped and types); the old route exceeded dense_dim
+    proj = Operator(TRIPLE.joint, np.diag((W_STATE > 0).astype(float)))
+    ghz = subspace_hierarchy_check(marginals_of(PureState(TRIPLE.joint, GHZ_STATE), TRIPLE),
+                                   proj, 2)
+    assert ghz.verdict == VERDICT_VIOLATED
+    assert ghz.gap == pytest.approx(-1 / 64, abs=1e-12)
+    w = subspace_hierarchy_check(marginals_of(PureState(TRIPLE.joint, W_STATE), TRIPLE),
+                                 proj, 2)
+    assert w.verdict == VERDICT_CONSISTENT
+
+
+def test_subspace_factor_is_capped_by_dense_dim():
+    st = marginals_of(PureState(TRIPLE.joint, GHZ_STATE), TRIPLE)
+    with pytest.raises(ResourceBudgetError,
+                       match=re.escape("449839104 entries exceed cap dense_dim**2=16777216")):
+        subspace_hierarchy_check(st, identity(TRIPLE.joint), 2)
+
+
+@pytest.mark.parametrize("scen,n", [(TRIPLE, 1), (CHAIN, 2)])
+def test_subspace_check_with_the_zero_projector(scen, n):
+    # the RHS is 0, so the gap is -lambda_max(rho)^n, each GHZ marginal's 1/2
+    st = marginals_of(PureState(scen.joint, GHZ_STATE), scen)
+    cert = subspace_hierarchy_check(st, Operator(scen.joint, np.zeros((8, 8))), n)
+    assert cert.verdict == VERDICT_VIOLATED
+    assert cert.gap == pytest.approx(-0.5 ** (scen.m * n), abs=1e-12)
 
 
 def test_subspace_check_validates_projector():

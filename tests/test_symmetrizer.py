@@ -263,25 +263,54 @@ def test_sym_projector_follows_dense_dim():
     assert p.trace().real == pytest.approx(math.comb(66, 2))     # 2145
 
 
-def test_symmetrize_without_dense_projector_raises_budget_error():
-    # 2^10 = 1024 fits the dense dimension cap, but 10! exceeds the one
-    # permutation cap
-    with pytest.raises(ResourceBudgetError, match="perms_matrix_free=500000"):
-        sym_projector(2, 10)
-    x = np.eye(1024)
-    with pytest.raises(ResourceBudgetError, match="perms_matrix_free"):
-        symmetrize_operator(x, 2)
-    with pytest.raises(ResourceBudgetError, match="perms_matrix_free"):
-        biriffle_value([x, x], 2, symmetrize=True)
+def test_ten_slot_symmetric_projector_and_symmetrize_run():
+    # 10! permutations exceed the permutation cap, which no longer applies:
+    # the projector and the compression come from the occupation types
+    p = sym_projector(2, 10)
+    assert p.trace().real == pytest.approx(11)      # binom(10 + 1, 10)
+    rng = np.random.default_rng(10)
+    x = symmetrize_operator(rng.normal(size=(1024, 1024)), 2)
+    shift = permutation_operator(space(("Q", 2)), (*range(1, 10), 0)).mat.real
+    assert np.abs(shift @ x @ shift.T - x).max() <= 1e-12
+    assert np.abs(p.mat @ x @ p.mat - x).max() <= 1e-12
+    assert biriffle_value([x, x], 2, symmetrize=True) == \
+        pytest.approx(biriffle_value([x, x], 2), rel=1e-12)
 
 
 def test_dense_projector_follows_the_callers_permutation_cap():
-    # 8! = 40320 permutations: past a cap of 7!, inside the default
+    # the isotypic projectors still sum permutations: 8! = 40320, past a cap
+    # of 7!, inside the default
+    sym = Partition((8,))
     with pytest.raises(ResourceBudgetError,
                        match="8! permutation terms exceed cap perms_matrix_free=5040"):
-        sym_projector(2, 8, BUDGET.with_(perms_matrix_free=5040))
-    p = sym_projector(2, 8)
+        isotypic_projector(sym, 2, 8, BUDGET.with_(perms_matrix_free=5040))
+    p = isotypic_projector(sym, 2, 8)
     assert p.trace().real == pytest.approx(9)       # binom(8 + 1, 8)
+
+
+@pytest.mark.parametrize("d,k", [(2, 8), (3, 7), (4, 6), (8, 4), (16, 3), (64, 2)])
+def test_sym_projector_matches_the_permutation_sum(d, k):
+    # d^k up to 4096: compared in row slices, to keep temporaries small
+    want = isotypic_projector(Partition((k,)), d, k).mat
+    got = sym_projector(d, k).mat
+    for lo in range(0, d ** k, 256):
+        assert np.abs(got[lo:lo + 256] - want[lo:lo + 256]).max() <= 1e-12
+
+
+def test_symmetric_routes_never_sum_permutations(monkeypatch):
+    import qrealize.symmetrizer as symmetrizer_mod
+
+    def no_sum(*args, **kwargs):
+        raise AssertionError("a symmetric-projector route summed permutations")
+
+    monkeypatch.setattr(symmetrizer_mod, "traced_permutation_sum", no_sum)
+    rng = np.random.default_rng(27)
+    x = rng.normal(size=(27, 27))
+    sym_projector(3, 3)
+    uniform_sym_state(3, 3)
+    y = symmetrize_operator(x @ x.T, 3)
+    biriffle_value([x @ x.T, y], 3, symmetrize=True)
+    bibiriffle_lower_bound(y, y, 3)
 
 
 def test_biriffle_bruteforce_follows_the_permutation_cap():
@@ -292,16 +321,6 @@ def test_biriffle_bruteforce_follows_the_permutation_cap():
         biriffle_bruteforce([x, x, x], 2, small)
     assert biriffle_bruteforce([x, x, x], 2, small.with_(perms_matrix_free=6)) == \
         pytest.approx(biriffle_value([x, x, x], 2))
-
-
-def test_bibiriffle_bound_follows_the_callers_permutation_cap():
-    # the bound's symmetric state on 3 slots enumerates 3! permutations
-    x = np.eye(8) / 8
-    with pytest.raises(ResourceBudgetError,
-                       match="3! permutation terms exceed cap perms_matrix_free=5"):
-        bibiriffle_lower_bound(x, x, 2, budget=BUDGET.with_(perms_matrix_free=5))
-    assert bibiriffle_lower_bound(x, x, 2, budget=BUDGET.with_(perms_matrix_free=6)) == \
-        bibiriffle_lower_bound(x, x, 2)
 
 
 def test_symmetrize_operator_is_invariant():
