@@ -20,7 +20,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .config import BUDGET, Budgets, ResourceBudgetError
-from .tensor import Operator, _exact_int, _kron_power, power_space, space
+from .tensor import Operator, _exact_int, _kron_power, as_matrix, power_space, space
 
 
 @dataclass(frozen=True)
@@ -285,9 +285,10 @@ def fixed_subspace_projector(rep_or_group, n: int, budget: Budgets = BUDGET) -> 
     """Projector onto the vectors fixed by the n-fold action.
 
     For a finite group given by its unitary matrices, averages the n-fold
-    tensor powers over the group (after validating closure under products).
-    For a TorusRep, selects the multi-indices whose coordinate weights sum
-    to zero.
+    tensor powers over the group (after validating closure under products);
+    the average is real when every group matrix is.  For a TorusRep, selects
+    the multi-indices whose coordinate weights sum to zero, as a real
+    diagonal.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -299,11 +300,11 @@ def fixed_subspace_projector(rep_or_group, n: int, budget: Budgets = BUDGET) -> 
         sums = np.zeros((1, rep.rank), dtype=np.int64)
         for _ in range(n):
             sums = (sums[:, None, :] + wrows[None, :, :]).reshape(-1, rep.rank)
-        mask = np.all(sums == 0, axis=1).astype(np.complex128)
+        mask = np.all(sums == 0, axis=1).astype(np.float64)
         sp = power_space(space(("V", d)), n)
         return Operator(sp, np.diag(mask))
 
-    members = [np.asarray(g, dtype=np.complex128) for g in rep_or_group]
+    members = [as_matrix(g) for g in rep_or_group]
     if not members:
         raise ValueError("empty group")
     d = members[0].shape[0]
@@ -314,7 +315,7 @@ def fixed_subspace_projector(rep_or_group, n: int, budget: Budgets = BUDGET) -> 
         if not _match_member(g @ h, members):
             raise ValueError("matrix set is not closed under products")
     budget.check_dense(d ** n, "fixed-subspace projector")
-    total = np.zeros((d ** n, d ** n), dtype=np.complex128)
+    total = np.zeros((d ** n, d ** n), dtype=np.result_type(*members))
     for g in members:
         total += _kron_power(g, n)
     total /= len(members)

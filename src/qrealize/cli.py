@@ -3,7 +3,7 @@
 One job per invocation: parse inputs, dispatch to the library, emit JSON or
 CSV artifacts with 17-significant-digit numbers so outputs are byte-stable
 and round-trip exactly.  Exit codes: 0 success/consistent, 1 certified
-violation, 2 usage or parse error, 3 resource budget exceeded.
+violation, 2 usage, parse or arithmetic error, 3 resource budget exceeded.
 
 Each command imports only the layers it runs, inside its body: every
 invocation is a fresh process, and ``toy-xz --exact`` never loads numpy.
@@ -24,7 +24,7 @@ import sys
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from .config import BUDGET, TOL, ResourceBudgetError
-from .jsonio import dumps, format_float, loads, operator_from_json
+from .jsonio import _complex_from_json, dumps, format_float, loads, operator_from_json
 
 if TYPE_CHECKING:
     from .qmp import MProductState
@@ -236,7 +236,8 @@ def _arguments(path: str, params: tuple[_Param, ...], ns: argparse.Namespace) ->
 
 def main(args: list[str] | None = None, prog_name: str | None = None) -> None:
     """Run one command.  Returns on success; otherwise raises SystemExit
-    carrying 1 (VIOLATED), 2 (usage or input error) or 3 (budget stop)."""
+    carrying 1 (VIOLATED), 2 (usage or input error, or an ArithmeticError)
+    or 3 (budget stop)."""
     path, argv = _canonical(sys.argv[1:] if args is None else list(args))
     parsers = _parsers(prog_name or "qrealize", path)
     ns = parsers[""].parse_args(argv)
@@ -260,7 +261,7 @@ def main(args: list[str] | None = None, prog_name: str | None = None) -> None:
         detail = str(exc) or "out of memory"
         sys.stderr.write(f"resource budget exceeded: could not allocate ({detail})\n")
         raise SystemExit(3)
-    except ValueError as exc:
+    except (ValueError, ArithmeticError) as exc:
         parser.error(str(exc))
     if code:
         raise SystemExit(code)
@@ -619,22 +620,18 @@ def biriffle_cmd(operators, dim, symmetrize, out):
 @_command("capacity", _file("rep"), _OUT)
 def capacity_cmd(rep, out):
     """Torus capacity of a weight vector: {weights, amplitudes, blocks} JSON in."""
-    import numpy as np
-
     from .capacity import capacity as torus_capacity
     from .capacity import torus_rep
 
     data = _read_json_file(rep)
     try:
         weights = data["weights"]
-        amps = data["amplitudes"]
         blocks = data.get("blocks")
-        re = np.asarray(amps["re"], dtype=float)
-        im = np.asarray(amps.get("im", np.zeros_like(re)), dtype=float)
+        amps = _complex_from_json(data["amplitudes"])
     except (KeyError, TypeError) as exc:
         raise ValueError(f"{rep}: not a valid torus payload: {exc}")
     trep = torus_rep(weights, blocks)
-    result = torus_capacity(trep, re + 1j * im)
+    result = torus_capacity(trep, amps)
     _emit(dumps(result.to_json(), indent=2) + "\n", out)
 
 

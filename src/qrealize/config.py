@@ -1,8 +1,17 @@
 """Numerical tolerances and resource budgets shared across the toolkit.
 
-Every tolerance-sensitive routine accepts an explicit ``Tolerances`` (or the
-relevant scalar) so callers can tighten or relax checks; the module-level
-defaults below are what the CLI and the test-suite use.
+``Tolerances`` is taken by ``DensityOperator``, ``PureState`` and the
+level-n checks (``hierarchy_check``, ``ortho_bound_check``,
+``subspace_hierarchy_check``); ``Operator.is_hermitian`` takes its ``herm``
+scalar.  ``Budgets`` is taken by the level-n checks, the dense projectors
+(``sym_projector``, ``uniform_sym_state``, ``isotypic_projector``,
+``fixed_subspace_projector``), the wiring sums (``traced_permutation_sum``,
+``traced_symmetrizer``, ``WiringSum.to_matrix``), ``biriffle_bruteforce``
+and ``lanczos_min_eig``.  Other routines use fixed constants of their own,
+among them ``three_qubit_witness``, ``born_ratio``, ``density_qubit_pair``,
+the projector checks of ``subspace_hierarchy_check`` and ``bipartite_check``
+(whose scalar ``tol`` is not a ``Tolerances``).  The module-level defaults
+below are what the CLI and the test-suite use.
 """
 
 from __future__ import annotations
@@ -21,7 +30,7 @@ class Tolerances(NamedTuple):
 
 
 class Budgets(NamedTuple):
-    dense_dim: int = 4096             # cap on every dense matrix's dimension (268 MB complex128)
+    dense_dim: int = 4096             # cap on every dense matrix's dimension (134 MB real, 268 MB complex)
     perms_matrix_free: int = 500_000  # cap on every enumeration of N! slot permutations
     matvec_dim: int = 300_000         # cap on a matrix-free (Lanczos) vector's dimension
 

@@ -22,19 +22,13 @@ from .partitions import Partition, _dyadic_numerators, _int_quotient, approx_par
 from .tensor import DensityOperator, as_matrix
 
 
-def _square(mat: np.ndarray) -> np.ndarray:
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ValueError(f"expected a square matrix, got {mat.shape}")
-    return mat
-
-
 def leading_principal_minors(x) -> np.ndarray:
     """Determinants of the upper-left i x i blocks, i = 1..d.
 
     Magnitudes below 1e-300 are flushed to exact zero so downstream powers
     never operate on denormal noise.
     """
-    mat = _square(as_matrix(x))
+    mat = as_matrix(x)
     d = mat.shape[0]
     out = np.empty(d)
     for i in range(1, d + 1):
@@ -94,7 +88,7 @@ class DiagonalizingFrame:
 
     @staticmethod
     def of(rho) -> "DiagonalizingFrame":
-        mat = _square(as_matrix(rho))
+        mat = as_matrix(rho)
         mat = (mat + mat.conj().T) / 2
         w, v = np.linalg.eigh(mat)
         order = np.argsort(w)[::-1]
@@ -115,7 +109,7 @@ class DiagonalizingFrame:
 
     def conjugated(self, other) -> np.ndarray:
         """U* other U — the other operator seen in this frame's basis."""
-        mat = _square(as_matrix(other))
+        mat = as_matrix(other)
         return self.u.conj().T @ mat @ self.u
 
 
@@ -161,8 +155,8 @@ def keyl_divergence(rho, sigma) -> float:
 def quantum_relative_entropy(rho, sigma) -> float:
     """Tr rho (ln rho - ln sigma); +inf when rho's support leaks outside
     sigma's."""
-    rmat = _square(as_matrix(rho))
-    smat = _square(as_matrix(sigma))
+    rmat = as_matrix(rho)
+    smat = as_matrix(sigma)
     rw, rv = np.linalg.eigh((rmat + rmat.conj().T) / 2)
     sw, sv = np.linalg.eigh((smat + smat.conj().T) / 2)
     rw = np.clip(rw, 0.0, None)
@@ -317,5 +311,5 @@ def spectrum_of(rho) -> np.ndarray:
     """Non-increasing eigenvalues of a Hermitian operator, clipped at zero."""
     if isinstance(rho, DensityOperator):
         return rho.spectrum()
-    mat = _square(as_matrix(rho))
+    mat = as_matrix(rho)
     return np.clip(np.linalg.eigvalsh((mat + mat.conj().T) / 2)[::-1], 0.0, None)

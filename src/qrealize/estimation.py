@@ -18,7 +18,7 @@ import numpy as np
 
 from .divergence import multinomial_mass, spectrum_of
 from .partitions import Partition, partitions_of, schur_polynomial, specht_dim
-from .tensor import DensityOperator, Operator, as_matrix
+from .tensor import Operator, as_matrix
 # re-exported, so qrealize.estimation.toy_xz_exact_bounds is a name callers can hook
 from .toy_xz import ToyXZBounds, toy_xz_exact_bounds, toy_xz_exact_fractions
 
@@ -83,7 +83,7 @@ def spectral_dist(rho, n: int) -> TypeDistribution:
     p(lambda) = specht_dim(lambda) * s_lambda(spectrum); support is all
     partitions of n with at most d rows, padded with zeros to length d.
     """
-    if isinstance(rho, (DensityOperator, Operator)):
+    if isinstance(rho, Operator):
         spec = list(spectrum_of(rho))
     else:
         spec = sorted((float(v) for v in rho), reverse=True)

@@ -2,7 +2,8 @@
 
 An operator is read from ``{"labels": [{"name": "A", "dim": 2}, ...],
 "re": [[...]], "im": [[...]]}``; labels may also be ``[name, dim]`` pairs
-(``[["A", 2], ...]``), and "im" may be left out.  Floats are written with
+(``[["A", 2], ...]``), and "im" may be left out; if given, it has the
+shape of "re".  Floats are written with
 17 significant digits, enough for an exact float64 round trip; the stdlib
 encoder's shortest-repr output is not used so the emitted byte strings stay
 stable across interpreter versions.  numpy and ``tensor`` are imported only
@@ -115,12 +116,19 @@ def _labels_from_json(labels: list) -> LabeledSpace:
     return LabeledSpace(tuple(pairs))
 
 
-def operator_from_json(data: dict) -> Operator:
+def _complex_from_json(data: dict):
+    """``re + 1j * im`` from a payload's "re" and optional "im" arrays; an
+    "im" whose shape differs from that of "re" is a ValueError."""
     import numpy as np
 
-    from .tensor import Operator
-
-    sp = _labels_from_json(data["labels"])
     re = np.asarray(data["re"], dtype=float)
     im = np.asarray(data.get("im", np.zeros_like(re)), dtype=float)
-    return Operator(sp, re + 1j * im)
+    if im.shape != re.shape:
+        raise ValueError(f'"im" has shape {im.shape}, but "re" has shape {re.shape}')
+    return re + 1j * im
+
+
+def operator_from_json(data: dict) -> Operator:
+    from .tensor import Operator
+
+    return Operator(_labels_from_json(data["labels"]), _complex_from_json(data))

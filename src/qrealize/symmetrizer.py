@@ -36,8 +36,8 @@ import numpy as np
 from .config import BUDGET, Budgets, ResourceBudgetError
 from .partitions import (Partition, all_cycle_types, cycle_type, double_cosets,
                          mn_character, partitions_of, set_cycles, specht_dim)
-from .tensor import (DensityOperator, LabeledSpace, Operator, apply_slot_permutation,
-                     as_matrix, trace_with_permutation)
+from .tensor import (DensityOperator, LabeledSpace, Operator, _check_permutation,
+                     apply_slot_permutation, as_matrix, trace_with_permutation)
 
 # ---------------------------------------------------------------------------
 # Dense projectors on k equal slots
@@ -79,7 +79,7 @@ def sym_projector(d: int, k: int, budget: Budgets = BUDGET) -> Operator:
     S S^T filled entrywise: 1/mult where two words share a type, else 0."""
     budget.check_dense(d ** k, f"symmetric projector on {k} slots of C^{d}")
     tid, mult = _type_index(d, k)
-    mat = np.where(tid[:, None] == tid, 1 / mult[tid][:, None], 0j)
+    mat = np.where(tid[:, None] == tid, 1 / mult[tid][:, None], 0.0)
     return Operator(LabeledSpace(tuple((f"s{t}", d) for t in range(k))), mat)
 
 
@@ -272,15 +272,11 @@ class WiringSum:
         dims = layout.axis_dims
         table: dict[tuple[int, ...], float] = {}
         for perm, coeff in terms.items():
-            if sorted(perm) != list(range(len(dims))):
-                raise ValueError(f"wiring {perm} is not a permutation of the layout's "
-                                 f"{len(dims)} axes")
-            if any(dims[b] != dims[a] for a, b in enumerate(perm)):
-                raise ValueError("wiring permutes axes of different dimensions")
+            perm = _check_permutation(perm, dims)
             c = complex(coeff)
             if c.imag != 0:
                 raise ValueError(f"wiring coefficients must be real, got {coeff!r}")
-            table[tuple(perm)] = c.real
+            table[perm] = c.real
         self.layout = layout
         self.terms = MappingProxyType(table)
         self._order, self._blocks, self._mults = self._compile()

@@ -1,10 +1,11 @@
-"""Dense complex linear algebra on labeled tensor-product spaces.
+"""Dense linear algebra on labeled tensor-product spaces.
 
 Operators act on an ordered tensor product of labeled finite-dimensional
 factors.  Slots are numbered left to right starting at 0; a partial trace
-keeps the relative order of the remaining slots.  All values are immutable
-after construction (ndarray buffers are marked read-only) so they can be
-shared freely across threads.
+keeps the relative order of the remaining slots.  A matrix is float64 when
+it is real and complex128 otherwise (``as_matrix``).  All values are
+immutable after construction (ndarray buffers are marked read-only) so they
+can be shared freely across threads.
 """
 
 from __future__ import annotations
@@ -107,15 +108,24 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def as_matrix(x) -> np.ndarray:
+    """The matrix of an Operator, else ``x`` as an array: float64 when real,
+    complex128 when complex.  A matrix that is not square is a ValueError."""
+    mat = x.mat if isinstance(x, Operator) else np.asarray(x)
+    mat = mat.astype(np.complex128 if mat.dtype.kind == "c" else np.float64, copy=False)
+    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {mat.shape}")
+    return mat
+
+
 class Operator:
-    """A square complex matrix on a LabeledSpace."""
+    """A square matrix on a LabeledSpace, in the dtype of ``as_matrix``.  A
+    float64 or complex128 array is kept, not copied, and made read-only."""
 
     __slots__ = ("space", "mat")
 
     def __init__(self, sp: LabeledSpace, mat: np.ndarray):
-        mat = np.asarray(mat, dtype=np.complex128)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise ValueError(f"operator matrix must be square, got {mat.shape}")
+        mat = as_matrix(mat)
         if mat.shape[0] != sp.total_dim:
             raise ValueError(
                 f"matrix dimension {mat.shape[0]} != space dimension {sp.total_dim}"
@@ -124,7 +134,7 @@ class Operator:
         object.__setattr__(self, "mat", _freeze(mat))
 
     def __setattr__(self, name, value):  # immutable
-        raise AttributeError("Operator is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     @property
     def dim(self) -> int:
@@ -138,9 +148,6 @@ class Operator:
 
     def is_hermitian(self, tol: float = TOL.herm) -> bool:
         return bool(np.max(np.abs(self.mat - self.mat.conj().T)) <= tol)
-
-    def hermitian_part(self) -> "Operator":
-        return Operator(self.space, (self.mat + self.mat.conj().T) / 2)
 
     def tensor_form(self) -> np.ndarray:
         """The matrix reshaped to (out dims) + (in dims)."""
@@ -162,47 +169,34 @@ class Operator:
         return Operator(self.space, self.mat @ other.mat)
 
     def __repr__(self):
-        return f"Operator(space={self.space.names}, dim={self.dim})"
+        return f"{type(self).__name__}(space={self.space.names}, dim={self.dim})"
 
 
 def identity(sp: LabeledSpace) -> Operator:
     return Operator(sp, np.eye(sp.total_dim))
 
 
-class DensityOperator:
-    """An Operator validated to be a quantum state (Hermitian, PSD, unit trace)."""
+class DensityOperator(Operator):
+    """An Operator validated to be a quantum state (Hermitian, PSD, unit
+    trace); the eigenvalues its PSD check computes are kept."""
 
-    __slots__ = ("op",)
+    __slots__ = ("_evals",)
 
     def __init__(self, op: Operator, tol: Tolerances = TOL):
-        if not op.is_hermitian(tol.herm):
+        super().__init__(op.space, op.mat)
+        if not self.is_hermitian(tol.herm):
             raise ValueError("density operator must be Hermitian")
-        tr = op.trace()
+        tr = self.trace()
         if abs(tr - 1.0) > tol.trace:
             raise ValueError(f"density operator trace {tr} not within {tol.trace} of 1")
-        evals = np.linalg.eigvalsh(op.hermitian_part().mat)
+        evals = np.linalg.eigvalsh((self.mat + self.mat.conj().T) / 2)
         if evals.min() < -tol.psd:
             raise ValueError(f"density operator has eigenvalue {evals.min()} < -{tol.psd}")
-        object.__setattr__(self, "op", op)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("DensityOperator is immutable")
-
-    @property
-    def space(self) -> LabeledSpace:
-        return self.op.space
-
-    @property
-    def mat(self) -> np.ndarray:
-        return self.op.mat
+        object.__setattr__(self, "_evals", evals)
 
     def spectrum(self) -> np.ndarray:
         """Eigenvalues sorted non-increasing, clipped at 0."""
-        ev = np.linalg.eigvalsh(self.op.hermitian_part().mat)[::-1]
-        return np.clip(ev, 0.0, None)
-
-    def __repr__(self):
-        return f"DensityOperator(space={self.space.names})"
+        return np.clip(self._evals[::-1], 0.0, None)
 
 
 class PureState:
@@ -229,18 +223,21 @@ class PureState:
         return DensityOperator(Operator(self.space, np.outer(self.amplitudes, self.amplitudes.conj())))
 
     def reduced(self, keep_names: Sequence[str]) -> DensityOperator:
-        """Reduced density operator on the named factors."""
-        op = self.projector().op
-        drop = [i for i, (n, _) in enumerate(self.space.labels) if n not in set(keep_names)]
-        return DensityOperator(partial_trace(op, drop))
+        """Reduced density operator on the named factors, in this space's
+        order: the amplitudes contracted with their conjugate over the
+        dropped factors.  A name not in the space is a ValueError."""
+        keep = set(keep_names)
+        if not keep <= set(self.space.names):
+            raise ValueError(f"no factor named {sorted(keep - set(self.space.names))} "
+                             f"in {self.space.names}")
+        drop = [i for i, n in enumerate(self.space.names) if n not in keep]
+        psi = self.amplitudes.reshape(self.space.dims)
+        sub = self.space.subspace(keep)
+        rho = np.tensordot(psi, psi.conj(), axes=(drop, drop))
+        return DensityOperator(Operator(sub, rho.reshape(sub.total_dim, -1)))
 
     def __repr__(self):
         return f"PureState(space={self.space.names})"
-
-
-def as_matrix(x) -> np.ndarray:
-    """The matrix of an Operator or DensityOperator, else ``x`` as a complex array."""
-    return x.mat if hasattr(x, "mat") else np.asarray(x, dtype=np.complex128)
 
 
 def kron(a: Operator, b: Operator) -> Operator:
@@ -289,20 +286,29 @@ def _perm_inverse(perm: Sequence[int]) -> list[int]:
     return inv
 
 
-def _check_permutation(perm: Sequence[int]) -> tuple[int, ...]:
-    perm = tuple(int(p) for p in perm)
+def _check_permutation(perm: Sequence[int], dims: Sequence[int] | None = None
+                       ) -> tuple[int, ...]:
+    """``perm`` as a tuple, checked to be a permutation of 0..len-1 and, when
+    per-slot ``dims`` are given, to move each slot to one of equal dimension."""
+    # from a list: tuple() of a generator allocates ten slots and shrinks,
+    # so every call would leave one more freed tuple cached for reuse
+    perm = tuple([int(p) for p in perm])
     if sorted(perm) != list(range(len(perm))):
         raise ValueError(f"{perm} is not a permutation of 0..{len(perm) - 1}")
+    if dims is not None and (len(dims) != len(perm)
+                             or any(dims[t] != dims[s] for s, t in enumerate(perm))):
+        raise ValueError(f"{perm} does not permute {len(dims)} slots of equal "
+                         f"dimensions {tuple(dims)}")
     return perm
 
 
 def apply_slot_permutation(vec: np.ndarray, dims: Sequence[int], perm: Sequence[int]) -> np.ndarray:
     """Apply the slot permutation (content of slot s -> slot perm[s]) to a vector.
 
-    ``dims`` are the per-slot dimensions of ``vec`` (so dims[perm[s]] must equal
-    dims[s]); returns a new flat vector.
+    ``dims`` are the per-slot dimensions of ``vec``, and dims[perm[s]] must
+    equal dims[s] (a ValueError otherwise); returns a new flat vector.
     """
-    perm = list(perm)
+    perm = _check_permutation(perm, dims)
     t = np.asarray(vec).reshape(tuple(dims))
     out = t.transpose(_perm_inverse(perm))
     return out.reshape(-1)

@@ -277,7 +277,8 @@ def test_hull_membership_rejects_non_finite_target(bad):
 def test_fixed_subspace_torus_diagonal_mask():
     rep = torus_rep([(1,), (-1,)])
     proj = fixed_subspace_projector(rep, 2)
-    assert np.allclose(proj.mat, np.diag([0.0, 1.0, 1.0, 0.0]))
+    assert proj.mat.dtype == np.float64
+    assert np.array_equal(proj.mat, np.diag([0.0, 1.0, 1.0, 0.0]))
     odd = fixed_subspace_projector(rep, 3)
     assert np.max(np.abs(odd.mat)) == 0.0
 
@@ -285,6 +286,7 @@ def test_fixed_subspace_torus_diagonal_mask():
 def test_fixed_subspace_group_average():
     x_gate = np.array([[0.0, 1.0], [1.0, 0.0]])
     proj = fixed_subspace_projector([np.eye(2), x_gate], 1)
+    assert proj.mat.dtype == np.float64
     assert np.max(np.abs(proj.mat @ proj.mat - proj.mat)) < 1e-12
     plus = np.array([1.0, 1.0]) / math.sqrt(2)
     assert proj.mat @ plus == pytest.approx(plus)

@@ -473,6 +473,35 @@ def test_capacity_command(runner, tmp_path):
     assert runner.invoke(main, ["capacity", str(bad)]).exit_code == 2
 
 
+def test_capacity_command_rejects_an_im_of_another_shape(runner, tmp_path):
+    # broadcast, the one-entry im would add 1j to every amplitude and exit 0
+    path = tmp_path / "rep.json"
+    write_json(str(path), {"weights": [[1, 0], [-1, 0], [0, 1], [0, -1]],
+                           "amplitudes": {"re": [1, 0.5, 2, 1], "im": [1]}})
+    res = runner.invoke(main, ["capacity", str(path)])
+    assert res.exit_code == 2, res.output
+    assert '"im" has shape (1,), but "re" has shape (4,)' in res.output
+
+
+def test_operator_file_with_an_im_of_another_shape_exits_2(runner, tmp_path):
+    # broadcast, a scalar im would put 0.25j in every entry
+    path = tmp_path / "x.json"
+    write_json(str(path), {"labels": [["A", 2]], "re": [[0.5, 0], [0, 0.5]], "im": 0.25})
+    res = runner.invoke(main, ["biriffle", str(path), "--dim", "2"])
+    assert res.exit_code == 2, res.output
+    assert '"im" has shape (), but "re" has shape (2, 2)' in res.output
+
+
+def test_arithmetic_error_exits_2_with_its_message(runner, tmp_path):
+    # a non-Hermitian operator next to its real part: the biriffle sum is not real
+    mat = np.full((4, 4), 0.125j) + np.diag([0.2, 0.2, 0.3, 0.3])
+    x2 = _write_op(tmp_path / "x2.json", [("Q", 2), ("R", 2)], mat)
+    x0 = _write_op(tmp_path / "x0.json", [("Q", 2), ("R", 2)], mat.real)
+    res = runner.invoke(main, ["biriffle", x2, x0, "--dim", "2"])
+    assert res.exit_code == 2, res.output
+    assert "Error: biriffle sum has non-real value" in res.output
+
+
 def test_capacity_command_rejects_fractional_weight(runner, tmp_path):
     path = tmp_path / "rep.json"
     write_json(str(path), {"weights": [[0.5], [-1]], "amplitudes": {"re": [1, 1]}})

@@ -135,6 +135,22 @@ def test_isotypic_projector_equals_its_explicit_sum(lam):
     assert np.max(np.abs(isotypic_projector(lam, 3, 4).mat - want)) <= 1e-14
 
 
+def test_real_projectors_are_stored_as_float64_without_a_copy():
+    # 1296 x 1296 float64 is 13.4 MB; a complex128 copy would take the peak past 40 MB
+    for build in (lambda: sym_projector(6, 4),
+                  lambda: isotypic_projector(Partition((2, 2)), 6, 4)):
+        build()  # the type index and the wiring sum are cached
+        tracemalloc.start()
+        try:
+            op = build()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert op.mat.dtype == np.float64
+        assert peak <= 17e6, peak
+        del op
+
+
 def test_set_cycles():
     assert set_cycles([1, 0, 2]) == [[0, 1], [2]]
     assert set_cycles([1, 2, 0]) == [[0, 1, 2]]

@@ -9,6 +9,7 @@ from qrealize.tensor import (
     Operator,
     PureState,
     apply_slot_permutation,
+    as_matrix,
     haar_random_density,
     haar_random_pure,
     haar_random_pure_on,
@@ -81,7 +82,6 @@ def test_operator_trace_and_adjoint():
     assert op.trace() == pytest.approx(4)
     assert np.allclose(op.adjoint().mat, m.conj().T)
     assert not op.is_hermitian(1e-10)
-    assert op.hermitian_part().is_hermitian(1e-12)
 
 
 def test_operator_arithmetic():
@@ -108,6 +108,46 @@ def test_density_operator_checks():
         DensityOperator(Operator(sp, np.diag([0.9, 0.9])))  # trace 1.8
     with pytest.raises(ValueError):
         DensityOperator(Operator(sp, np.array([[1.5, 0], [0, -0.5]])))  # not PSD
+
+
+def test_as_matrix_keeps_real_input_real_and_rejects_non_square():
+    assert as_matrix([[1, 2], [3, 4]]).dtype == np.float64
+    assert as_matrix(np.eye(2, dtype=np.float32)).dtype == np.float64
+    assert as_matrix([[1j, 0], [0, 1]]).dtype == np.complex128
+    assert Operator(space(("A", 2)), np.eye(2)).mat.dtype == np.float64
+    for bad in (np.zeros(4), np.zeros((2, 3)), np.zeros((2, 2, 2))):
+        with pytest.raises(ValueError, match="expected a square matrix"):
+            as_matrix(bad)
+
+
+def test_density_operator_is_an_operator_that_keeps_its_spectrum(monkeypatch):
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(1) or eigvalsh(a))
+    rho = DensityOperator(Operator(space(("A", 2)), np.array([[0.75, 0.25], [0.25, 0.25]])))
+    assert isinstance(rho, Operator) and rho.mat.dtype == np.float64
+    assert list(rho.spectrum()) == pytest.approx(eigvalsh(rho.mat)[::-1])
+    rho.spectrum()
+    assert len(calls) == 1
+    with pytest.raises(AttributeError):
+        rho.mat = np.eye(2)
+
+
+def test_reduced_state_matches_the_partial_trace_of_the_projector():
+    sp = space(("A", 2), ("B", 3), ("C", 2))
+    psi = haar_random_pure_on(sp, 5)
+    proj = psi.projector()
+    for keep, drop in (((), (0, 1, 2)), (("C", "A"), (1,)), (("B",), (0, 2)),
+                       (("A", "B", "C"), ())):
+        rho = psi.reduced(keep)
+        assert rho.space.names == tuple(n for n in sp.names if n in keep)
+        assert np.max(np.abs(rho.mat - partial_trace(proj, drop).mat)) <= 1e-15
+
+
+def test_reduced_state_rejects_an_unknown_label():
+    bell = PureState(qubits("A", "B"), np.array([1, 0, 0, 1]) / np.sqrt(2))
+    with pytest.raises(ValueError, match=r"no factor named \['Z'\]"):
+        bell.reduced(["A", "Z"])
 
 
 def test_pure_state_projector_and_reduction():
@@ -184,6 +224,20 @@ def test_apply_slot_permutation_matches_dense(perm):
     v = rng.normal(size=16)
     dense = permutation_operator(space(("Q", 2)), tuple(perm))
     assert np.allclose(apply_slot_permutation(v, dims, tuple(perm)), dense.mat @ v)
+
+
+@pytest.mark.parametrize("dims,perm", [((2, 3), (1, 0)), ((2, 2), (0, 0)), ((2, 2), (0, 1, 2)),
+                                       ((2, 3, 2), (1, 2, 0))])
+def test_apply_slot_permutation_checks_its_preconditions(dims, perm):
+    # without the check, (2, 3) with the swap returned [0, 3, 1, 4, 2, 5]
+    with pytest.raises(ValueError):
+        apply_slot_permutation(np.arange(float(np.prod(dims))), dims, perm)
+
+
+def test_apply_slot_permutation_moves_equal_dimensions_across_others():
+    v = np.arange(12.0)
+    got = apply_slot_permutation(v, (2, 3, 2), (2, 1, 0))
+    assert np.array_equal(got, v.reshape(2, 3, 2).transpose(2, 1, 0).reshape(-1))
 
 
 def test_permutation_operators_compose_as_the_group():
