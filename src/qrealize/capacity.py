@@ -231,13 +231,16 @@ class CapacityResult:
         }
 
 
-def capacity(rep: TorusRep, v, tol_grad: float = 1e-8, max_iter: int = 500) -> CapacityResult:
+_TOL_GRAD, _MAX_ITER = 1e-8, 500  # moment-map norm counted as zero; Newton steps
+
+
+def capacity(rep: TorusRep, v) -> CapacityResult:
     """Infimum of the transformed norm over the torus orbit closure.
 
     Runs a damped Newton iteration on g from x = 0 after an upfront hull
-    test; reports value 0 with a separating direction when the supported
-    weight hull excludes the origin.  At a minimizer the moment map of the
-    transformed vector is zero to tol_grad.
+    test; reports value 0 with a separator when the hull of the supported
+    weights (block mass > 0) excludes the origin.  At a minimizer the moment
+    map is zero to relative gradient 1e-8, or 500 steps raise ArithmeticError.
     """
     vec = _as_vector(rep, v)
     mass = _block_mass(rep, vec)
@@ -250,9 +253,9 @@ def capacity(rep: TorusRep, v, tol_grad: float = 1e-8, max_iter: int = 500) -> C
         return CapacityResult(0.0, None, base_moment, True, hull.separator)
 
     x = np.zeros(rep.rank)
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         value, grad, hess = kempf_ness(rep, vec, x)
-        if np.linalg.norm(grad) / value <= tol_grad:
+        if np.linalg.norm(grad) / value <= _TOL_GRAD:
             return CapacityResult(math.sqrt(value), x, grad / value, False)
         ridge = 1e-12 * max(1.0, float(np.trace(hess)))
         step = -np.linalg.solve(hess + ridge * np.eye(rep.rank), grad)
@@ -269,7 +272,7 @@ def capacity(rep: TorusRep, v, tol_grad: float = 1e-8, max_iter: int = 500) -> C
                 f"minimizer escaped to |x| = {np.linalg.norm(x):.3g} although the "
                 "weight hull contains the origin; g may be flat along a face")
     raise ArithmeticError(
-        f"Newton failed to reach gradient tolerance {tol_grad} in {max_iter} "
+        f"Newton failed to reach gradient tolerance {_TOL_GRAD} in {_MAX_ITER} "
         f"iterations (last relative gradient {np.linalg.norm(grad) / value:.3g})")
 
 
@@ -336,57 +339,50 @@ class OccasionalityTable:
     verdict: str
 
 
-def _weight_zero_mass(probs: np.ndarray, wrows: np.ndarray, n: int) -> float:
-    """P(sum of n iid coordinate weights = 0) for letter distribution probs."""
-    d = len(probs)
-    if math.comb(n + d - 1, d - 1) > 5_000_000:
-        raise ResourceBudgetError(f"too many count vectors at n={n}, d={d}")
-    log_probs = [math.log(p) if p > 0 else -math.inf for p in probs]
-
-    def walk(i: int, left: int, wsum: np.ndarray, logp: float, acc: list[float]):
-        if i == d - 1:
-            k = left
-            if probs[i] == 0.0 and k > 0:
-                return
-            if np.any(wsum + k * wrows[i] != 0):
-                return
-            acc.append(logp + (k * log_probs[i] if k else 0.0) - math.lgamma(k + 1))
-            return
-        top = left if probs[i] > 0.0 else 0
-        for k in range(top + 1):
-            walk(i + 1, left - k, wsum + k * wrows[i],
-                 logp + (k * log_probs[i] if k else 0.0) - math.lgamma(k + 1), acc)
-
-    acc: list[float] = []
-    walk(0, n, np.zeros(wrows.shape[1], dtype=np.int64), math.lgamma(n + 1), acc)
-    if not acc:
-        return 0.0
-    peak = max(acc)
-    return math.exp(peak) * sum(math.exp(a - peak) for a in acc)
+def _zero_sum_mass(weights: np.ndarray, mass: np.ndarray, n: int) -> float:
+    """P(n iid draws of the weight rows, with probabilities mass, sum to 0)."""
+    low = weights.min(axis=0)
+    spans = weights.max(axis=0) - low  # shifted sums of k draws lie in [0, k * span]
+    size = math.prod(n * int(span) + 1 for span in spans)
+    if size > BUDGET.dense_dim ** 2:
+        raise ResourceBudgetError(f"occasionality p_{n}: {size} weight sums exceed "
+                                  f"cap dense_dim**2={BUDGET.dense_dim ** 2}")
+    dist = np.ones((1,) * len(spans))
+    for k in range(1, n + 1):
+        nxt = np.zeros(k * spans + 1)
+        for step, m in zip(weights - low, mass):
+            nxt[tuple(slice(a, a + d) for a, d in zip(step, dist.shape))] += m * dist
+        dist = nxt
+    origin = -n * low
+    return float(dist[tuple(origin)]) if np.all((origin >= 0) & (origin < dist.shape)) else 0.0
 
 
-def occasionality_probe(rep: TorusRep, psi, n_list: Sequence[int],
-                        tol_grad: float = 1e-8) -> OccasionalityTable:
+def occasionality_probe(rep: TorusRep, psi, n_list: Sequence[int]) -> OccasionalityTable:
     """Decay profile of p_n = Tr(P_psi^{(x)n} . fixed-subspace projector).
+
+    p_n is the probability that n iid weights, drawn with the block masses of
+    the unit psi (support: block mass > 0), sum to zero: n shift-adds of the
+    running sum's distribution over its dense box of reachable sums.  A box
+    past ``BUDGET.dense_dim ** 2`` entries raises ResourceBudgetError before
+    it is allocated; n < 0 is a ValueError.
 
     When the moment map of psi vanishes the sequence decays only
     polynomially and the scaled column n^{c/2} p_n stays bounded, with c the
     dimension spanned by the supported weights; otherwise the probe reports
     the exponential-decay regime.
     """
-    vec = _as_vector(rep, psi)
-    norm = np.linalg.norm(vec)
-    if norm <= 0:
+    mass = _block_mass(rep, _as_vector(rep, psi))
+    if mass.sum() <= 0:
         raise ValueError("state must be nonzero")
-    vec = vec / norm
-    probs = np.abs(vec) ** 2
-    wrows = rep.coordinate_weights()
-    supported = wrows[probs > 1e-15]
-    exponent = int(np.linalg.matrix_rank(supported)) if len(supported) else 0
-    mu = moment_map(rep, vec)
-    verdict = "OCCASIONAL" if np.linalg.norm(mu) <= tol_grad else "EXPONENTIAL_DECAY"
+    supported = mass > 0.0
+    weights = np.array(rep.weights, dtype=np.int64)[supported]
+    exponent = int(np.linalg.matrix_rank(weights))
+    occasional = np.linalg.norm(moment_map(rep, psi)) <= _TOL_GRAD
+    verdict = "OCCASIONAL" if occasional else "EXPONENTIAL_DECAY"
     rows = []
     for n in n_list:
-        p = _weight_zero_mass(probs, wrows, int(n))
+        if n < 0:
+            raise ValueError(f"n must be >= 0, got {n}")
+        p = _zero_sum_mass(weights, mass[supported] / mass.sum(), int(n))
         rows.append((int(n), p, n ** (exponent / 2) * p))
     return OccasionalityTable(tuple(rows), exponent, verdict)

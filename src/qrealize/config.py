@@ -7,11 +7,11 @@ scalar.  ``Budgets`` is taken by the level-n checks, the dense projectors
 (``sym_projector``, ``uniform_sym_state``, ``isotypic_projector``,
 ``fixed_subspace_projector``), the wiring sums (``traced_permutation_sum``,
 ``traced_symmetrizer``, ``WiringSum.to_matrix``), ``biriffle_bruteforce``
-and ``lanczos_min_eig``.  Other routines use fixed constants of their own,
-among them ``three_qubit_witness``, ``born_ratio``, ``density_qubit_pair``,
-the projector checks of ``subspace_hierarchy_check`` and ``bipartite_check``
-(whose scalar ``tol`` is not a ``Tolerances``).  The module-level defaults
-below are what the CLI and the test-suite use.
+and ``lanczos_min_eig``; ``occasionality_probe`` reads ``BUDGET.dense_dim``.
+Other routines use fixed constants of their own, among them ``capacity``,
+``three_qubit_witness``, ``born_ratio``, ``density_qubit_pair``, the
+projector checks of ``subspace_hierarchy_check`` and ``bipartite_check``
+(whose ``tol`` is a plain number).  The CLI and tests use the defaults below.
 """
 
 from __future__ import annotations

@@ -214,14 +214,17 @@ class DensityCurve:
 
 
 def density_curve(fun, lo: float, hi: float, npoints: int = 2000) -> DensityCurve:
-    """Sample ``fun`` on a half-step-offset grid covering [lo, hi]."""
+    """Sample ``fun`` on a half-step-offset grid covering [lo, hi]; the mass
+    check integrates on max(npoints, 2000) steps, past a coarse grid's error."""
     if npoints < 1:
         raise ValueError(f"need at least one grid point, got npoints={npoints}")
-    step = (hi - lo) / npoints
-    grid = lo - step / 2 + step * np.arange(npoints + 2)
-    values = np.asarray([max(float(fun(t)), 0.0) for t in grid])
-    total = float(np.trapezoid(values, grid))
-    return DensityCurve(grid, values, total)
+    curves = {}
+    for steps in {npoints, max(npoints, 2000)}:
+        step = (hi - lo) / steps
+        grid = lo - step / 2 + step * np.arange(steps + 2)
+        curves[steps] = grid, np.asarray([max(float(fun(t)), 0.0) for t in grid])
+    fine_grid, fine_values = curves[max(npoints, 2000)]
+    return DensityCurve(*curves[npoints], float(np.trapezoid(fine_values, fine_grid)))
 
 
 def density_qubit_pair(a_op, b_op, point: Sequence[float]) -> float:

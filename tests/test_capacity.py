@@ -1,6 +1,8 @@
 """Torus capacities, weight hulls, fixed subspaces, occasionality decay."""
 import itertools
 import math
+import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -17,6 +19,7 @@ from qrealize.capacity import (
 )
 from qrealize.config import BUDGET, ResourceBudgetError
 from qrealize.divergence import multinomial_mass
+from qrealize.tensor import _kron_power
 
 
 def test_torus_rep_validation():
@@ -362,6 +365,44 @@ def test_occasionality_rank_two_walk():
 
 
 def test_occasionality_budget_guard():
+    # the box of reachable sums at n = 2100 has 4201^2 > 4096^2 entries
     rep = torus_rep([(1, 0), (-1, 0), (0, 1), (0, -1)])
-    with pytest.raises(ResourceBudgetError):
-        occasionality_probe(rep, [0.5, 0.5, 0.5, 0.5], [400])
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceBudgetError, match="dense_dim"):
+            occasionality_probe(rep, [0.5, 0.5, 0.5, 0.5], [2100])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
+@pytest.mark.parametrize("seed", [29, 30, 31])
+@pytest.mark.parametrize("weights, blocks", [([(1,), (-1,), (2,)], [2, 1, 1]),
+                                             ([(1, 0), (0, 1), (-1, -1)], [2, 1, 2])])
+def test_occasionality_matches_the_fixed_subspace_trace(seed, weights, blocks):
+    rng = np.random.default_rng(seed)
+    rep = torus_rep(weights, blocks)
+    psi = rng.normal(size=rep.dim) + 1j * rng.normal(size=rep.dim)
+    psi /= np.linalg.norm(psi)
+    ns = [n for n in range(1, 6) if rep.dim ** n <= 1024]
+    table = occasionality_probe(rep, psi, ns)
+    for n, p, _ in table.rows:
+        projector = fixed_subspace_projector(rep, n).mat
+        want = np.trace(_kron_power(np.outer(psi, psi.conj()), n) @ projector).real
+        assert p == pytest.approx(want, rel=1e-12, abs=1e-16)
+
+
+def test_occasionality_rank_two_at_four_hundred_matches_the_exact_rational():
+    start = time.time()
+    rep = torus_rep([(1, 0), (-1, 0), (0, 1), (0, -1)])
+    table = occasionality_probe(rep, [0.5, 0.5, 0.5, 0.5], [400])
+    f = math.factorial
+    want = Fraction(sum(f(400) // (f(a) ** 2 * f(200 - a) ** 2) for a in range(201)), 4 ** 400)
+    assert table.rows[0][1] == pytest.approx(float(want), rel=1e-12)
+    assert time.time() - start < 5.0
+
+
+def test_occasionality_rejects_negative_n():
+    with pytest.raises(ValueError, match="n must be >= 0"):
+        occasionality_probe(torus_rep([(1,), (-1,)]), [1.0, 1.0], [2, -1])

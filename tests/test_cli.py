@@ -379,6 +379,19 @@ def test_density_curve_csv_and_joint_mode(runner, tmp_path):
     assert json.loads(joint.output)["value"] == pytest.approx(1 / (2 * math.pi))
 
 
+@pytest.mark.parametrize("args, points, span", [
+    (["--eigs", "0.5,0.3,0.2", "--mults", "1,2,1"], 50, 0.3),
+    (["--eigs", "0.8,0.5,0.1"], 20, 0.7)])
+def test_density_on_a_coarse_grid_checks_its_mass_on_a_fine_one(runner, args, points, span):
+    # the trapezoid sums of these coarse grids miss 1 by 1.5e-4 and 1.9e-3
+    res = runner.invoke(main, ["density", *args, "--points", str(points)])
+    assert res.exit_code == 0, res.output
+    lines = res.output.strip().splitlines()
+    assert len(lines) == points + 3
+    xs = [float(line.split(",")[0]) for line in lines[1:]]
+    assert xs[1] - xs[0] == pytest.approx(span / points)
+
+
 def test_density_requires_a_mode(runner):
     assert runner.invoke(main, ["density"]).exit_code == 2
 
