@@ -19,7 +19,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .config import BUDGET, Budgets, ResourceBudgetError
+from .config import BUDGET, Budgets
 from .tensor import Operator, _exact_int, _kron_power, as_matrix, power_space, space
 
 
@@ -343,10 +343,8 @@ def _zero_sum_mass(weights: np.ndarray, mass: np.ndarray, n: int) -> float:
     """P(n iid draws of the weight rows, with probabilities mass, sum to 0)."""
     low = weights.min(axis=0)
     spans = weights.max(axis=0) - low  # shifted sums of k draws lie in [0, k * span]
-    size = math.prod(n * int(span) + 1 for span in spans)
-    if size > BUDGET.dense_dim ** 2:
-        raise ResourceBudgetError(f"occasionality p_{n}: {size} weight sums exceed "
-                                  f"cap dense_dim**2={BUDGET.dense_dim ** 2}")
+    BUDGET.check_entries(math.prod(n * int(span) + 1 for span in spans),
+                         f"occasionality p_{n} box")
     dist = np.ones((1,) * len(spans))
     for k in range(1, n + 1):
         nxt = np.zeros(k * spans + 1)

@@ -311,20 +311,17 @@ def _emit(text: str, out: str | None):
 
 
 def _budget(budget_perms: int | None, budget_dim: int | None):
-    kwargs = {}
-    if budget_perms is not None:
-        if budget_perms <= 0:
-            raise ValueError("--budget-perms must be positive")
-        kwargs["perms_matrix_free"] = budget_perms
-    if budget_dim is not None:
-        if budget_dim <= 0:
-            raise ValueError("--budget-dim must be positive")
-        kwargs["dense_dim"] = budget_dim
-    return BUDGET.with_(**kwargs) if kwargs else BUDGET
+    for flag, value in (("--budget-perms", budget_perms), ("--budget-dim", budget_dim)):
+        if value is not None and value <= 0:
+            raise ValueError(f"{flag} must be positive")
+    kwargs = {"perms_matrix_free": budget_perms, "dense_dim": budget_dim}
+    return BUDGET.with_(**{k: v for k, v in kwargs.items() if v is not None})
 
 
 def _tolerances(tol_psd: float | None):
-    return TOL.with_(psd=tol_psd) if tol_psd is not None else TOL
+    if tol_psd is not None and not 0 <= tol_psd < math.inf:
+        raise ValueError(f"--tol-psd must be finite and >= 0, got {tol_psd}")
+    return TOL if tol_psd is None else TOL.with_(psd=tol_psd)
 
 
 def _floats(text: str) -> list[float]:
@@ -383,8 +380,8 @@ def _emit_certificate(cert, out) -> int:
 
 _OUT = _opt("--out", _output_file)
 _BUDGET_DIM = _opt("--budget-dim", _int, help=(
-    "Cap on the dimension of every dense matrix built or diagonalised. "
-    "Sets dense_dim; matvec_dim keeps its default."))
+    "Cap on the dimension of every dense matrix built or diagonalised, and dense_dim**2 "
+    "on the entries of any other dense array, the Lanczos basis included. Sets dense_dim."))
 _BUDGET_PERMS = _opt("--budget-perms", _int, help=(
     "Cap on the (level x contexts)! slot permutations a wiring sum runs over. "
     "Sets perms_matrix_free."))
@@ -410,6 +407,7 @@ def qmp_witness3(ab, ac, bc, tol_psd, out):
     """Three-qubit overlapping-pairs witness; nonzero certifies violation."""
     from .qmp import three_qubit_witness
 
+    tol = _tolerances(tol_psd)
     rhos = []
     for path in (ab, ac, bc):
         rho = _load_density(path)
@@ -420,7 +418,7 @@ def qmp_witness3(ab, ac, bc, tol_psd, out):
     if out:
         _emit(dumps({"value": value}, indent=2) + "\n", out)
     sys.stdout.write(format_float(value) + "\n")
-    return 1 if value > _tolerances(tol_psd).psd else 0
+    return 1 if value > tol.psd else 0
 
 
 @_command("qmp bipartite", _file("rho_a"), _file("rho_b"), _OUT)
@@ -570,6 +568,8 @@ def toy_xz_cmd(shots, trials, seed, bins, exact, out):
                      "balanced_prob": res.balanced_prob,
                      "balanced_bound": res.balanced_bound}, indent=2) + "\n", out)
         return
+    if bins < 1:
+        raise ValueError(f"--bins must be >= 1, got {bins}")
     import numpy as np
 
     from .estimation import toy_xz_simulate
@@ -578,13 +578,10 @@ def toy_xz_cmd(shots, trials, seed, bins, exact, out):
     edges = np.linspace(-1.0, 1.0, bins + 1)
     hist, _, _ = np.histogram2d(samples[:, 0], samples[:, 1], bins=[edges, edges])
     lines = ["x_lo,x_hi,z_lo,z_hi,count"]
-    for i in range(bins):
-        for j in range(bins):
-            count = int(hist[i, j])
-            if count:
-                lines.append(",".join([
-                    format_float(edges[i]), format_float(edges[i + 1]),
-                    format_float(edges[j]), format_float(edges[j + 1]), str(count)]))
+    for i, j in zip(*np.nonzero(hist)):    # row-major, as the CSV lists them
+        lines.append(",".join([
+            format_float(edges[i]), format_float(edges[i + 1]),
+            format_float(edges[j]), format_float(edges[j + 1]), str(int(hist[i, j]))]))
     _emit("\n".join(lines) + "\n", out)
 
 

@@ -1,17 +1,19 @@
 """Numerical tolerances and resource budgets shared across the toolkit.
 
-``Tolerances`` is taken by ``DensityOperator``, ``PureState`` and the
-level-n checks (``hierarchy_check``, ``ortho_bound_check``,
+``Tolerances`` is taken by ``DensityOperator``, ``PureState`` and the level-n
+checks (``hierarchy_check``, ``ortho_bound_check``,
 ``subspace_hierarchy_check``); ``Operator.is_hermitian`` takes its ``herm``
 scalar.  ``Budgets`` is taken by the level-n checks, the dense projectors
 (``sym_projector``, ``uniform_sym_state``, ``isotypic_projector``,
 ``fixed_subspace_projector``), the wiring sums (``traced_permutation_sum``,
-``traced_symmetrizer``, ``WiringSum.to_matrix``), ``biriffle_bruteforce``
-and ``lanczos_min_eig``; ``occasionality_probe`` reads ``BUDGET.dense_dim``.
-Other routines use fixed constants of their own, among them ``capacity``,
-``three_qubit_witness``, ``born_ratio``, ``density_qubit_pair``, the
-projector checks of ``subspace_hierarchy_check`` and ``bipartite_check``
-(whose ``tol`` is a plain number).  The CLI and tests use the defaults below.
+``traced_symmetrizer``, ``WiringSum.to_matrix``), ``biriffle_bruteforce`` and
+``lanczos_min_eig``; ``occasionality_probe`` reads ``BUDGET``.  ``dense_dim``
+caps a square matrix's dimension, and any other dense array's entries at
+``dense_dim**2``: the Lanczos basis, the subspace factor A, the occasionality
+box.  Other routines use fixed constants of their own, among them
+``capacity``, ``three_qubit_witness``, ``born_ratio``,
+``density_qubit_pair``, the projector checks of ``subspace_hierarchy_check``
+and ``bipartite_check``.  The CLI and tests use the defaults below.
 """
 
 from __future__ import annotations
@@ -30,9 +32,10 @@ class Tolerances(NamedTuple):
 
 
 class Budgets(NamedTuple):
-    dense_dim: int = 4096             # cap on every dense matrix's dimension (134 MB real, 268 MB complex)
+    # cap on a square matrix's dimension, and at dense_dim**2 on any other dense
+    # array's entries (4096: 134 MB real, 268 MB complex)
+    dense_dim: int = 4096
     perms_matrix_free: int = 500_000  # cap on every enumeration of N! slot permutations
-    matvec_dim: int = 300_000         # cap on a matrix-free (Lanczos) vector's dimension
 
     def with_(self, **kw) -> "Budgets":
         return self._replace(**kw)
@@ -42,6 +45,12 @@ class Budgets(NamedTuple):
         if dim > self.dense_dim:
             raise ResourceBudgetError(
                 f"{what}: dimension {dim} exceeds cap dense_dim={self.dense_dim}")
+
+    def check_entries(self, entries: int, what: str) -> None:
+        """Raise ResourceBudgetError before a dense array past dense_dim**2 entries is allocated."""
+        if entries > self.dense_dim ** 2:
+            raise ResourceBudgetError(
+                f"{what}: {entries} entries exceed cap dense_dim**2={self.dense_dim ** 2}")
 
 
 TOL = Tolerances()

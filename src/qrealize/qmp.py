@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .config import BUDGET, TOL, Budgets, ResourceBudgetError, Tolerances
+from .config import BUDGET, TOL, Budgets, Tolerances
 from .partitions import littlewood_richardson, partitions_of, \
     schur_polynomial, specht_dim, weyl_dim
 from .symmetrizer import WiringSum, _sym_isometry, check_perms_budget, \
@@ -31,6 +31,7 @@ from .tensor import DensityOperator, LabeledSpace, Operator, PureState, \
 
 VERDICT_CONSISTENT = "CONSISTENT_AT_LEVEL"
 VERDICT_VIOLATED = "VIOLATED"
+_BIPARTITE_TOL = 1e-8  # bipartite_check: spectra equal within this are realizable
 
 
 @dataclass(frozen=True)
@@ -107,10 +108,7 @@ class MProductState:
                     f"marginal {i} has dims {rho.space.dims}, context wants {want}")
 
     def product_matrix(self) -> np.ndarray:
-        out = self.marginals[0].mat
-        for rho in self.marginals[1:]:
-            out = np.kron(out, rho.mat)
-        return out
+        return reduce(np.kron, [rho.mat for rho in self.marginals])
 
 
 def marginals_of(psi: PureState, scen: MarginalScenario) -> MProductState:
@@ -463,14 +461,20 @@ def _certificate(gap: float, wvec: np.ndarray, n: int, scen: MarginalScenario,
     )
 
 
+def _check_args(n: int, tol: Tolerances) -> None:
+    if n < 1:
+        raise ValueError(f"level n must be >= 1, got {n}")
+    if not 0 <= tol.psd < math.inf:  # a negative tol.psd would certify a gap of 0
+        raise ValueError(f"tol.psd must be finite and >= 0, got {tol.psd}")
+
+
 def _check(state: MProductState, v: int, n: int, tol: Tolerances, budget: Budgets
            ) -> RealizabilityCertificate:
     """The level-n check of v^{nm} * tuple^{x n} against the traced sum of
     isotypic projectors over shapes with at most v rows; ``hierarchy_check``
-    is v = 1.  The level is checked before v, then the cached sum is solved
-    and certified."""
-    if n < 1:
-        raise ValueError(f"level n must be >= 1, got {n}")
+    is v = 1.  The level and tol.psd are checked before v, then the cached
+    sum is solved and certified."""
+    _check_args(n, tol)
     scen = state.scenario
     if not (1 <= v <= scen.d_joint):
         raise ValueError(f"orthogonal-solution count v={v} must be in 1..{scen.d_joint}")
@@ -523,10 +527,7 @@ def _subspace_rhs(scen: MarginalScenario, p_v: Operator, n: int, budget: Budgets
     v = u[:, w > 0.5]
     r = v.shape[1]
     types = math.comb(nm + r - 1, nm)
-    size = scen.d_joint ** nm * types
-    if size > budget.dense_dim ** 2:
-        raise ResourceBudgetError(f"subspace RHS factor: {size} entries exceed cap "
-                                  f"dense_dim**2={budget.dense_dim ** 2}")
+    budget.check_entries(scen.d_joint ** nm * types, "subspace RHS factor")
     a = _sym_isometry(r, nm).reshape((r,) * nm + (types,))
     for _ in range(nm):  # V on the leading slot, rotated to the back
         a = np.tensordot(a, v, axes=(0, 1))
@@ -553,8 +554,7 @@ def subspace_hierarchy_check(state: MProductState, p_v: Operator, n: int, *,
     and solved like ``hierarchy_check``'s dense path.  ``dense_dim`` caps the
     kept dimension, and ``dense_dim**2`` the entries of A.
     """
-    if n < 1:
-        raise ValueError(f"level n must be >= 1, got {n}")
+    _check_args(n, tol)
     scen = state.scenario
     if p_v.space.dims != scen.joint.dims or p_v.space.names != scen.joint.names:
         raise ValueError(
@@ -628,8 +628,7 @@ class BipartiteResult:
         }
 
 
-def bipartite_check(rho_a: DensityOperator, rho_b: DensityOperator,
-                    tol: float = 1e-8) -> BipartiteResult:
+def bipartite_check(rho_a: DensityOperator, rho_b: DensityOperator) -> BipartiteResult:
     """Exact solution of the two-context scenario with full joint overlap.
 
     The pair is realizable by a joint pure state exactly when the two spectra
@@ -645,7 +644,7 @@ def bipartite_check(rho_a: DensityOperator, rho_b: DensityOperator,
     pa, pb = sa[:ell].copy(), sb[:ell].copy()
     diff = float(np.abs(pa - pb).sum()) + 2 * (float(sa[ell:].sum()) + float(sb[ell:].sum()))
     pinsker = diff ** 2 / 6.0
-    if tail > tol:
+    if tail > _BIPARTITE_TOL:
         return BipartiteResult(False, math.inf, pinsker,
                                tuple(map(float, sa)), tuple(map(float, sb)),
                                tuple((pa + pb) / 2.0))
@@ -653,7 +652,7 @@ def bipartite_check(rho_a: DensityOperator, rho_b: DensityOperator,
 
     r = (pa + pb) / 2.0
     rate = kl_divergence(pa, r) + kl_divergence(pb, r)
-    realizable = bool(np.max(np.abs(pa - pb)) <= tol)
+    realizable = bool(np.max(np.abs(pa - pb)) <= _BIPARTITE_TOL)
     if not rate + 1e-12 >= pinsker - 1e-9:   # also catches a NaN rate
         raise ArithmeticError("divergence fell below its norm bound")
     return BipartiteResult(realizable, float(rate), pinsker,

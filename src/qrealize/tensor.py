@@ -12,11 +12,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .config import BUDGET, TOL, Budgets, ResourceBudgetError, Tolerances
+from .config import BUDGET, TOL, Budgets, Tolerances
 
 
 def _exact_int(x) -> int | None:
@@ -247,10 +248,7 @@ def kron(a: Operator, b: Operator) -> Operator:
 
 def _kron_power(mat: np.ndarray, n: int) -> np.ndarray:
     """mat^{tensor n} as a dense matrix, n >= 1."""
-    out = mat
-    for _ in range(n - 1):
-        out = np.kron(out, mat)
-    return out
+    return reduce(np.kron, [mat] * n)
 
 
 def partial_trace(x: Operator, drop: Iterable[int]) -> Operator:
@@ -353,6 +351,7 @@ _EPS = 2.0 ** -52  # float64 machine epsilon
 _SEMI_ORTHO = math.sqrt(_EPS)
 # a cycle stops once the Ritz residual is below this times the spectral spread
 _RESIDUAL_TOL = 1e-9
+_BLOCK, _CYCLES, _SEED = 64, 40, 7  # Lanczos steps per cycle, cycles, start seed
 
 
 def _omega_row(omega: np.ndarray, tri: np.ndarray, j: int, a: float, b: float,
@@ -377,15 +376,12 @@ def lanczos_min_eig(
     apply_h: Callable[[np.ndarray], np.ndarray],
     dim: int,
     *,
-    block: int = 64,
-    cycles: int = 40,
-    seed: int = 7,
     budget: Budgets = BUDGET,
     dtype: type = np.complex128,
 ) -> tuple[float, np.ndarray]:
     """Smallest eigenvalue of a Hermitian operator via restarted Lanczos.
 
-    Each cycle runs up to ``block`` Lanczos steps with partial
+    Each cycle runs up to ``_BLOCK`` (64) Lanczos steps with partial
     reorthogonalization (Simon, Math. Comp. 42, 1984), takes the bottom
     Ritz pair of the tridiagonal, and restarts from that Ritz vector.  Each
     step updates Simon's recurrence for omega[j + 1, k], an estimate of
@@ -415,8 +411,10 @@ def lanczos_min_eig(
     fresh ``apply_h(y)``, so it can only overestimate the true minimum.  A
     reported negative eigenvalue is always genuine, which is what a
     one-sided feasibility verdict needs.  Stops when the Ritz residual drops
-    below 1e-9 times the observed spectral spread, or when restarts stop
-    improving the estimate.  ``dim`` is checked against ``budget.matvec_dim``.
+    below 1e-9 times the observed spectral spread, when restarts stop
+    improving the estimate, or after ``_CYCLES`` (40) cycles.  The basis,
+    block x ``dim`` entries, is checked against ``budget.dense_dim**2``
+    before the start vector is drawn with seed ``_SEED`` (7).
 
     ``dtype`` is the arithmetic of the Krylov space.  With ``np.float64``
     the operator must be real symmetric and map real vectors to real
@@ -425,10 +423,9 @@ def lanczos_min_eig(
     operator reaches its minimum at a real vector.  The returned vector is
     complex128 either way (zero imaginary part on the real path).
     """
-    if dim > budget.matvec_dim:
-        raise ResourceBudgetError(f"matrix-free dimension {dim} exceeds cap {budget.matvec_dim}")
-    block = max(4, min(block, dim))
-    rng = np.random.default_rng(seed)
+    block = max(4, min(_BLOCK, dim))
+    budget.check_entries(block * dim, "Lanczos basis")
+    rng = np.random.default_rng(_SEED)
     real = np.dtype(dtype) == np.float64
 
     def noise() -> np.ndarray:
@@ -449,7 +446,7 @@ def lanczos_min_eig(
     anorm = 0.0
     # rounding level of a length-dim inner product
     unit = _EPS * math.sqrt(dim) / 2
-    for cycle in range(cycles):
+    for cycle in range(_CYCLES):
         floor = 1e-13 * max(1.0, spread)
         again = False
         basis[0] = v

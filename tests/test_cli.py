@@ -93,8 +93,8 @@ def test_budget_dim_help_names_the_one_budget_it_sets(runner, command):
     assert res.exit_code == 0
     text = " ".join(res.output.split())
     assert "--budget-dim" in text and "every dense matrix" in text
-    assert "Sets dense_dim; matvec_dim keeps its default" in text
-    assert "dense_eig_dim" not in text
+    assert "the Lanczos basis included. Sets dense_dim." in text
+    assert "keeps its default" not in text and "dense_eig_dim" not in text
 
 
 @pytest.mark.parametrize("command", ["check", "ortho"])
@@ -110,8 +110,7 @@ def test_show_config_lists_defaults(runner):
     doc = json.loads(res.output)
     assert doc["env_prefix"] == "QREALIZE"
     assert doc["tolerances"]["psd"] == 1e-9
-    assert doc["budgets"] == {"dense_dim": 4096, "perms_matrix_free": 500_000,
-                              "matvec_dim": 300_000}
+    assert doc["budgets"] == {"dense_dim": 4096, "perms_matrix_free": 500_000}
     assert list(doc["tolerances"]) == ["herm", "trace", "psd", "eig"]
 
 
@@ -119,7 +118,7 @@ def test_config_defaults_are_immutable_named_tuples():
     from qrealize.config import BUDGET, TOL, Budgets, Tolerances
 
     assert Tolerances._fields == ("herm", "trace", "psd", "eig")
-    assert Budgets._fields == ("dense_dim", "perms_matrix_free", "matvec_dim")
+    assert Budgets._fields == ("dense_dim", "perms_matrix_free")
     with pytest.raises(AttributeError):
         TOL.psd = 0.0
     with pytest.raises(AttributeError):
@@ -177,6 +176,22 @@ def test_qmp_check_consistent_on_realizable_marginals(runner, tmp_path):
     assert res.exit_code == 0
     doc = json.loads(res.output)
     assert doc["verdict"] == "CONSISTENT_AT_LEVEL" and doc["level"] == 2
+
+
+@pytest.mark.parametrize("tol", ["-1e-3", "-0.5", "nan", "inf"])
+@pytest.mark.parametrize("command", ["check", "ortho", "subspace", "witness3"])
+def test_negative_or_non_finite_tol_psd_exits_2(runner, tmp_path, command, tol):
+    # GHZ's pair marginals are realizable (gap +1.8e-16, witness value 0); a
+    # negative threshold certified them VIOLATED with exit 1
+    files = [_ghz_pair(tmp_path / f"{a}{b}.json", a, b) for a, b in ("AB", "AC", "BC")]
+    joint = [("A", 2), ("B", 2), ("C", 2)]
+    extra = {"check": [], "witness3": [], "ortho": ["--rank", "1"],
+             "subspace": ["--projector", _write_op(tmp_path / "id.json", joint, np.eye(8))]}
+    args = ["qmp", command, *files, *extra[command]]
+    assert runner.invoke(main, args).exit_code == 0
+    res = runner.invoke(main, [*args, f"--tol-psd={tol}"])
+    assert res.exit_code == 2
+    assert f"--tol-psd must be finite and >= 0, got {float(tol)}" in res.output
 
 
 def test_qmp_check_rejects_conflicting_label_dims(runner, tmp_path):
@@ -401,6 +416,14 @@ def test_density_rejects_an_empty_grid_as_usage_error(runner, points):
     res = runner.invoke(main, ["density", "--eigs", "0.8,0.2", "--points", points])
     assert res.exit_code == 2
     assert f"need at least one grid point, got npoints={points}" in res.output
+
+
+@pytest.mark.parametrize("bins", ["0", "-1"])
+def test_toy_xz_rejects_fewer_than_one_bin_as_usage_error(runner, bins):
+    # -1 ended in an IndexError (exit 1); 0 printed only the header
+    res = runner.invoke(main, ["toy-xz", "-m", "2", "--bins", bins])
+    assert res.exit_code == 2
+    assert f"--bins must be >= 1, got {bins}" in res.output
 
 
 def test_toy_xz_exact_and_sampled(runner):

@@ -9,7 +9,7 @@ from scipy.linalg import block_diag
 
 from qrealize import divergence as divergence_mod
 from qrealize import qmp as qmp_mod
-from qrealize.capacity import fixed_subspace_projector, torus_rep
+from qrealize.capacity import fixed_subspace_projector, occasionality_probe, torus_rep
 from qrealize.config import BUDGET, TOL, ResourceBudgetError
 from qrealize.qmp import (
     VERDICT_CONSISTENT,
@@ -715,17 +715,19 @@ def test_lanczos_basis_stays_semi_orthogonal_on_the_triangle(monkeypatch, make):
 
 
 def test_hierarchy_check_passes_its_budget_to_the_eigensolver():
+    # the level-2 triangle's Lanczos basis is 64 x 4096 = 512**2 entries
     st = triple_product(SINGLET_RHO)
-    with pytest.raises(ResourceBudgetError):
-        hierarchy_check(st, 2, budget=BUDGET.with_(matvec_dim=1000))
-    cert = hierarchy_check(st, 2, budget=BUDGET.with_(matvec_dim=4096))
+    with pytest.raises(ResourceBudgetError, match=re.escape(
+            "Lanczos basis: 262144 entries exceed cap dense_dim**2=261121")):
+        hierarchy_check(st, 2, budget=BUDGET.with_(dense_dim=511))
+    cert = hierarchy_check(st, 2, budget=BUDGET.with_(dense_dim=512))
     assert cert.verdict == VERDICT_VIOLATED
 
 
 def test_wiring_sum_cache_ignores_unrelated_budget_fields():
-    a = qmp_mod._scenario_sum(TRIPLE, 2, BUDGET.with_(matvec_dim=1000))
-    assert a is qmp_mod._scenario_sum(TRIPLE, 2, BUDGET.with_(matvec_dim=4096))
-    band = qmp_mod._scenario_sum(TRIPLE, 2, BUDGET.with_(matvec_dim=1000), 2)
+    a = qmp_mod._scenario_sum(TRIPLE, 2, BUDGET.with_(dense_dim=1000))
+    assert a is qmp_mod._scenario_sum(TRIPLE, 2, BUDGET.with_(dense_dim=4096))
+    band = qmp_mod._scenario_sum(TRIPLE, 2, BUDGET.with_(dense_dim=1000), 2)
     assert band is qmp_mod._scenario_sum(TRIPLE, 2, BUDGET, 2)
     assert band is not a
 
@@ -968,6 +970,48 @@ def test_subspace_factor_is_capped_by_dense_dim():
     with pytest.raises(ResourceBudgetError,
                        match=re.escape("449839104 entries exceed cap dense_dim**2=16777216")):
         subspace_hierarchy_check(st, identity(TRIPLE.joint), 2)
+
+
+@pytest.mark.parametrize("psd", [-1e-3, -0.5, math.nan, math.inf])
+def test_level_n_checks_reject_a_negative_or_non_finite_tol_psd(psd):
+    # GHZ's marginals are realizable: a negative tol.psd would certify gap 0
+    st = marginals_of(PureState(TRIPLE.joint, GHZ_STATE), TRIPLE)
+    proj = identity(TRIPLE.joint)
+    checks = [lambda tol: hierarchy_check(st, 1, tol=tol),
+              lambda tol: ortho_bound_check(st, 1, 1, tol=tol),
+              lambda tol: subspace_hierarchy_check(st, proj, 1, tol=tol)]
+    for check in checks:
+        assert check(TOL).verdict == VERDICT_CONSISTENT
+        with pytest.raises(ValueError, match="tol.psd must be finite and >= 0"):
+            check(TOL.with_(psd=psd))
+
+
+def _lanczos_past_the_cap():
+    lanczos_min_eig(lambda v: v, 10 ** 9)  # a 64 x 10^9 basis
+
+
+def _subspace_factor_past_the_cap():
+    st = marginals_of(PureState(TRIPLE.joint, GHZ_STATE), TRIPLE)
+    subspace_hierarchy_check(st, identity(TRIPLE.joint), 2)  # A is 8^6 x 1716
+
+
+def _occasionality_box_past_the_cap():
+    rep = torus_rep([(1, 0), (-1, 0), (0, 1), (0, -1)])
+    occasionality_probe(rep, [0.5, 0.5, 0.5, 0.5], [2100])  # the box is 4201^2
+
+
+@pytest.mark.parametrize("run", [_lanczos_past_the_cap, _subspace_factor_past_the_cap,
+                                 _occasionality_box_past_the_cap])
+def test_every_non_square_dense_array_is_capped_by_its_entries(run):
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceBudgetError,
+                           match=re.escape("entries exceed cap dense_dim**2=16777216")):
+            run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 @pytest.mark.parametrize("scen,n", [(TRIPLE, 1), (CHAIN, 2)])

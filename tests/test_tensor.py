@@ -329,7 +329,7 @@ def test_lanczos_never_undershoots_on_psd():
     for trial in range(5):
         a = rng.normal(size=(60, 60))
         h = a @ a.T  # PSD, usually with a tiny bottom eigenvalue
-        lam, _ = lanczos_min_eig(lambda v: h @ v, 60, seed=trial)
+        lam, _ = lanczos_min_eig(lambda v: h @ v, 60)
         assert lam >= -1e-10 * np.linalg.norm(h)
 
 
@@ -400,11 +400,9 @@ def test_matvec_budget_cap():
 
 
 def test_eigensolvers_honour_the_callers_matvec_budget():
-    small = BUDGET.with_(matvec_dim=8)
-    with pytest.raises(ResourceBudgetError):
-        lanczos_min_eig(lambda v: v, 16, budget=small)
-    # one past the default cap; the identity closes its Krylov space at once
-    dim = BUDGET.matvec_dim + 1
-    large = BUDGET.with_(matvec_dim=dim)
-    lam, _ = lanczos_min_eig(lambda v: v, dim, block=4, cycles=1, budget=large)
+    # the basis is 64 x dim entries: at dim 4096 exactly 512**2
+    with pytest.raises(ResourceBudgetError, match="Lanczos basis: 262144 entries"):
+        lanczos_min_eig(lambda v: v, 4096, budget=BUDGET.with_(dense_dim=511))
+    # the identity closes its Krylov space at once
+    lam, _ = lanczos_min_eig(lambda v: v, 4096, budget=BUDGET.with_(dense_dim=512))
     assert lam == pytest.approx(1.0)
