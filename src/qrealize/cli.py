@@ -597,20 +597,18 @@ def born_ratio_cmd(projector, observable, copies):
 
 
 @_command("biriffle", _file("operators", many=True),
-          _opt("-d --dim", _int, help="Local dimension d.", required=True),
-          _flag("--symmetrize", "Project the inputs onto the symmetric subspace first."),
-          _OUT)
-def biriffle_cmd(operators, dim, symmetrize, out):
+          _opt("-d --dim", _int, help="Local dimension d.", required=True), _OUT)
+def biriffle_cmd(operators, dim, out):
     """Averaged interleaving sum of k tensor-power operators."""
     from .symmetrizer import bibiriffle_lower_bound, biriffle_value
 
     xs = [_load_operator(p).mat for p in operators]
-    value = biriffle_value(xs, dim, symmetrize=symmetrize)
-    payload = {"value": value}
-    if len(xs) == 2:
+    if len(xs) != 2:
+        payload = {"value": biriffle_value(xs, dim)}
+    else:
         p_n, bound = bibiriffle_lower_bound(xs[0], xs[1], dim)
-        payload["bibiriffle_bound"] = bound
-        payload["bound_ok"] = bool(p_n >= bound - 1e-12)
+        payload = {"value": p_n, "bibiriffle_bound": bound,
+                   "bound_ok": bool(p_n >= bound - 1e-12)}
     _emit(dumps(payload, indent=2) + "\n", out)
 
 

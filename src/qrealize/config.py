@@ -10,14 +10,17 @@ scalar.  ``Budgets`` is taken by the level-n checks, the dense projectors
 ``lanczos_min_eig``; ``occasionality_probe`` reads ``BUDGET``.  ``dense_dim``
 caps a square matrix's dimension, and any other dense array's entries at
 ``dense_dim**2``: the Lanczos basis, the subspace factor A, the occasionality
-box.  Other routines use fixed constants of their own, among them
-``capacity``, ``three_qubit_witness``, ``born_ratio``,
-``density_qubit_pair``, the projector checks of ``subspace_hierarchy_check``
-and ``bipartite_check``.  The CLI and tests use the defaults below.
+box.  ``perms_matrix_free`` caps every enumeration of N! slot permutations
+(``check_perms``), which ``biriffle_value`` never makes.  Other routines use
+fixed constants of their own, among them ``capacity``,
+``three_qubit_witness``, ``born_ratio``, ``density_qubit_pair``, the
+projector checks of ``subspace_hierarchy_check`` and ``bipartite_check``.
+The CLI and tests use the defaults below.
 """
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 
@@ -51,6 +54,12 @@ class Budgets(NamedTuple):
         if entries > self.dense_dim ** 2:
             raise ResourceBudgetError(
                 f"{what}: {entries} entries exceed cap dense_dim**2={self.dense_dim ** 2}")
+
+    def check_perms(self, nslots: int) -> None:
+        """Raise ResourceBudgetError before enumerating nslots! > perms_matrix_free permutations."""
+        if math.factorial(nslots) > self.perms_matrix_free:
+            raise ResourceBudgetError(f"{nslots}! permutation terms exceed cap "
+                                      f"perms_matrix_free={self.perms_matrix_free}")
 
 
 TOL = Tolerances()

@@ -24,10 +24,10 @@ import numpy as np
 from .config import BUDGET, TOL, Budgets, Tolerances
 from .partitions import littlewood_richardson, partitions_of, \
     schur_polynomial, specht_dim, weyl_dim
-from .symmetrizer import WiringSum, _sym_isometry, check_perms_budget, \
-    isotypic_band_weight, scenario_layout, traced_permutation_sum
+from .symmetrizer import WiringSum, _sym_isometry, isotypic_band_weight, \
+    scenario_layout, traced_permutation_sum
 from .tensor import DensityOperator, LabeledSpace, Operator, PureState, \
-    _kron_power, as_matrix, lanczos_min_eig
+    _kron, _kron_power, as_matrix, lanczos_min_eig
 
 VERDICT_CONSISTENT = "CONSISTENT_AT_LEVEL"
 VERDICT_VIOLATED = "VIOLATED"
@@ -108,7 +108,7 @@ class MProductState:
                     f"marginal {i} has dims {rho.space.dims}, context wants {want}")
 
     def product_matrix(self) -> np.ndarray:
-        return reduce(np.kron, [rho.mat for rho in self.marginals])
+        return reduce(_kron, [rho.mat for rho in self.marginals])
 
 
 def marginals_of(psi: PureState, scen: MarginalScenario) -> MProductState:
@@ -147,12 +147,6 @@ class RealizabilityCertificate:
 
 # ---------------------------------------------------------------------------
 # Shared eigen-gap machinery
-
-
-def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """np.kron for two matrices, as one broadcast product."""
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(
-        a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
 
 
 def _apply_product_power(mat: np.ndarray, n: int, vec: np.ndarray) -> np.ndarray:
@@ -393,9 +387,9 @@ def _min_gap(ws: WiringSum, mats: Sequence[np.ndarray], n: int, *,
     matrix is scattered straight into the order of ``_swap_order``, split in
     place by ``_split_sectors`` (the sum commutes with the per-context swap
     of copies 1 and 2) and solved by ``_dense_gap``, at most one LAPACK
-    solve per sector.  Above that, Lanczos runs on the full kept space, in
-    float64 when every marginal is real after the Hermitian average
-    (``_hermitian_real``) and in complex128 otherwise.
+    solve per sector.  Above that, Lanczos runs on the full kept space with
+    rho built from the Hermitian-averaged marginals (``_hermitian_real``), in
+    float64 when every one is real and in complex128 otherwise.
     For real marginals the operator is real symmetric, and its minimum is
     reached at a real vector, so a real Krylov space loses nothing.  A
     non-finite Lanczos result raises ``ArithmeticError``."""
@@ -407,11 +401,8 @@ def _min_gap(ws: WiringSum, mats: Sequence[np.ndarray], n: int, *,
         blocks = _split_sectors(ws.to_matrix(budget, order), ctx_dims, n)
         return _dense_gap(blocks, mats, n, lhs_scale)
 
-    herm = [_hermitian_real(a) for a in mats]
-    real = not any(np.iscomplexobj(a) for a in herm)
-    # complex marginals enter as given: only the real path needs the
-    # averaged matrix, to be exactly real
-    rho_m = reduce(np.kron, herm if real else mats)
+    rho_m = reduce(_kron, [_hermitian_real(a) for a in mats])
+    real = not np.iscomplexobj(rho_m)
 
     def matvec(v):
         out = ws.apply(v)
@@ -437,7 +428,7 @@ def _wiring_sum(labels: tuple, contexts: tuple, n: int, v: int) -> WiringSum:
 
 
 def _scenario_sum(scen: MarginalScenario, n: int, budget: Budgets, v: int = 1) -> WiringSum:
-    check_perms_budget(n * scen.m, budget)
+    budget.check_perms(n * scen.m)
     return _wiring_sum(scen.joint.labels, scen.contexts, n, v)
 
 
@@ -592,9 +583,9 @@ def three_qubit_witness(rho_ab, rho_ac, rho_bc) -> float:
     for mat in mats:
         if mat.shape != (4, 4):
             raise ValueError(f"expected a two-qubit operator, got shape {mat.shape}")
-    x = np.kron(np.kron(mats[0], mats[1]), mats[2])
+    x = reduce(_kron, mats)
     # x axes: [A1, B1, A2, C2, B3, C3]; singlet pairs (A1,A2), (B1,B3), (C2,C3)
-    w = np.kron(np.kron(_SINGLET_PROJ, _SINGLET_PROJ), _SINGLET_PROJ)
+    w = _kron_power(_SINGLET_PROJ, 3)
     # w axes: [A1, A2, B1, B3, C2, C3] -> reorder to x's axes
     axes = [0, 2, 1, 4, 3, 5]
     w = w.reshape((2,) * 12).transpose(axes + [6 + a for a in axes]).reshape(64, 64)

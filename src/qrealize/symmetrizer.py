@@ -19,7 +19,8 @@ Three layers live here:
   real matmuls and one scatter;
 
 * the biriffle evaluation of Tr(symmetric-average (X_1 x ... x X_k)) as a sum
-  over double cosets of S_n^k in S_{nk}, with a full-permutation-sum oracle.
+  over double cosets of S_n^k in S_{nk}, every input first compressed onto
+  the symmetric subspace, with a full-permutation-sum oracle.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .config import BUDGET, Budgets, ResourceBudgetError
+from .config import BUDGET, Budgets
 from .partitions import (Partition, all_cycle_types, cycle_type, double_cosets,
                          mn_character, partitions_of, set_cycles, specht_dim)
 from .tensor import (DensityOperator, LabeledSpace, Operator, _check_permutation,
@@ -412,15 +413,6 @@ class WiringSum:
         return out
 
 
-def check_perms_budget(nslots: int, budget: Budgets = BUDGET) -> None:
-    """Raise ResourceBudgetError when enumerating all nslots! slot
-    permutations would exceed ``perms_matrix_free``, the one cap on every
-    such enumeration."""
-    if math.factorial(nslots) > budget.perms_matrix_free:
-        raise ResourceBudgetError(f"{nslots}! permutation terms exceed cap "
-                                  f"perms_matrix_free={budget.perms_matrix_free}")
-
-
 def traced_permutation_sum(layout: SlotLayout,
                            weight_of_type: Callable[[Partition], float],
                            budget: Budgets = BUDGET) -> WiringSum:
@@ -430,7 +422,7 @@ def traced_permutation_sum(layout: SlotLayout,
     adding weight x loop factor to its coefficient, and the merged table
     builds (and so compiles) the ``WiringSum`` once."""
     n = layout.nslots
-    check_perms_budget(n, budget)
+    budget.check_perms(n)
     weights: dict[tuple[int, ...], float] = {}
     for t in all_cycle_types(n):
         weights[t.parts] = weight_of_type(t)
@@ -476,40 +468,46 @@ def _check_biriffle_inputs(xs, d: int) -> tuple[list[np.ndarray], int]:
     n = round(math.log(size, d)) if d > 1 else 1
     if d ** n != size:
         raise ValueError(f"operator size {size} is not a power of local dimension {d}")
-    for m in mats:
-        if m.shape != (size, size):
-            raise ValueError("all operators must share one shape")
+    if any(m.shape != (size, size) for m in mats):
+        raise ValueError("all operators must share one shape")
     return mats, n
+
+
+def _compress(xs, d: int) -> tuple[list[np.ndarray], np.ndarray, int]:
+    """(Y_i = S^T X_i S, S, n) for inputs X_i on n slots of C^d, checked once."""
+    mats, n = _check_biriffle_inputs(xs, d)
+    s = _sym_isometry(d, n)
+    return [s.T @ m @ s for m in mats], s, n
+
+
+def _coset_sum(ys: Sequence[np.ndarray], s: np.ndarray, n: int, d: int) -> float:
+    """p_n of the compressed inputs S Y_i S^T by the double-coset sum over
+    k x k non-negative integer matrices with margins n: each contributes its
+    coset cardinality times one traced-permutation coupling.  Couplings may
+    be complex individually; the total is checked real."""
+    mats, k = [s @ y @ s.T for y in ys], len(ys)
+    total = 0.0 + 0.0j
+    for _, card, rep in double_cosets(n, k):
+        total += card * trace_with_permutation(mats, [n] * k, rep, d)
+    val = total * (math.factorial(d - 1) / math.factorial(n * k + d - 1))
+    if abs(val.imag) > 1e-9 * max(1.0, abs(val.real)):
+        raise ArithmeticError(f"biriffle sum has non-real value {val}")
+    return float(val.real)
 
 
 def symmetrize_operator(x, d: int) -> np.ndarray:
     """Compress x to the symmetric subspace: S (S^T x S) S^T."""
-    mats, n = _check_biriffle_inputs([x], d)
-    s = _sym_isometry(d, n)
-    return s @ (s.T @ mats[0] @ s) @ s.T
+    (y,), s, _ = _compress([x], d)
+    return s @ y @ s.T
 
 
-def biriffle_value(xs: Sequence, d: int, *, symmetrize: bool = False) -> float:
-    """Tr(uniform-symmetric-state average of X_1 x ... x X_k) via double cosets.
-
-    Each X_i acts on n slots of C^d and must be fixed by slot permutations
-    (pass symmetrize=True to compress first).  The sum runs over k x k
-    non-negative integer matrices with margins n; each contributes its coset
-    cardinality times a single traced-permutation coupling.  Couplings may be
-    complex individually; the total is checked real.
-    """
-    mats, n = _check_biriffle_inputs(xs, d)
-    k = len(mats)
-    if symmetrize:
-        mats = [symmetrize_operator(m, d) for m in mats]
-    total = 0.0 + 0.0j
-    for _, card, rep in double_cosets(n, k):
-        total += card * trace_with_permutation(mats, [n] * k, rep, d)
-    norm = math.factorial(d - 1) / math.factorial(n * k + d - 1)
-    val = total * norm
-    if abs(val.imag) > 1e-9 * max(1.0, abs(val.real)):
-        raise ArithmeticError(f"biriffle sum has non-real value {val}")
-    return float(val.real)
+def biriffle_value(xs: Sequence, d: int) -> float:
+    """p_n = Tr(uniform-symmetric-state average of X_1 x ... x X_k) via
+    double cosets, each X_i on n slots of C^d.  The average sees each X_i
+    only through S (S^T X_i S) S^T, so every input is compressed first and
+    the value equals ``biriffle_bruteforce`` for any input; one supported on
+    the symmetric subspace moves only by rounding, at n = 1 (S = I) not at all."""
+    return _coset_sum(*_compress(xs, d), d)
 
 
 def biriffle_bruteforce(xs: Sequence, d: int, budget: Budgets = BUDGET) -> float:
@@ -518,7 +516,7 @@ def biriffle_bruteforce(xs: Sequence, d: int, budget: Budgets = BUDGET) -> float
     mats, n = _check_biriffle_inputs(xs, d)
     k = len(mats)
     nk = n * k
-    check_perms_budget(nk, budget)
+    budget.check_perms(nk)
     total = 0.0 + 0.0j
     for perm in itertools.permutations(range(nk)):
         total += trace_with_permutation(mats, [n] * k, perm, d)
@@ -527,12 +525,10 @@ def biriffle_bruteforce(xs: Sequence, d: int, budget: Budgets = BUDGET) -> float
 
 
 def bibiriffle_lower_bound(x1, x2, d: int) -> tuple[float, float]:
-    """(p_n(X1, X2), Tr(S^T X1 X2 S) / binom(n+d-1, n) / (2n)^(d-1)), the
-    second being Tr(uniform-symmetric-state X1 X2) / (2n)^(d-1).  For
-    permutation-fixed positive semidefinite inputs the first dominates it."""
-    mats, n = _check_biriffle_inputs([x1, x2], d)
-    p = biriffle_value(mats, d)
-    s = _sym_isometry(d, n)
-    trace = np.sum((s.T @ mats[0]) * (mats[1] @ s).T)
-    rhs = float(np.real(trace)) / math.comb(n + d - 1, n) / (2 * n) ** (d - 1)
-    return p, rhs
+    """(p_n(X1, X2), Tr(Y1 Y2) / binom(n+d-1, n) / (2n)^(d-1)), both from one
+    compressed pair Y_i = S^T X_i S.  For positive semidefinite X_i the pair
+    S Y_i S^T is positive semidefinite and supported on the symmetric
+    subspace, so the first dominates the second whether or not the X_i are."""
+    ys, s, n = _compress([x1, x2], d)
+    rhs = float(np.sum(ys[0] * ys[1].T).real) / math.comb(n + d - 1, n) / (2 * n) ** (d - 1)
+    return _coset_sum(ys, s, n, d), rhs

@@ -241,14 +241,20 @@ class PureState:
         return f"PureState(space={self.space.names})"
 
 
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The one dense Kronecker product: np.kron of two matrices, bit for bit."""
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(
+        a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
+
+
 def kron(a: Operator, b: Operator) -> Operator:
     """Tensor (Kronecker) product; label lists concatenate."""
-    return Operator(a.space.concat(b.space), np.kron(a.mat, b.mat))
+    return Operator(a.space.concat(b.space), _kron(a.mat, b.mat))
 
 
 def _kron_power(mat: np.ndarray, n: int) -> np.ndarray:
     """mat^{tensor n} as a dense matrix, n >= 1."""
-    return reduce(np.kron, [mat] * n)
+    return reduce(_kron, [mat] * n)
 
 
 def partial_trace(x: Operator, drop: Iterable[int]) -> Operator:

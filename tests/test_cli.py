@@ -453,11 +453,51 @@ def test_born_ratio_command(runner, tmp_path):
 def test_biriffle_command_emits_bound_for_pairs(runner, tmp_path):
     x1 = _write_op(tmp_path / "x1.json", [("V", 2)], np.diag([1.0, 0.0]))
     x2 = _write_op(tmp_path / "x2.json", [("V", 2)], np.diag([0.0, 1.0]))
-    res = runner.invoke(main, ["biriffle", x1, x2, "-d", "2", "--symmetrize"])
+    res = runner.invoke(main, ["biriffle", x1, x2, "-d", "2"])
     assert res.exit_code == 0
     doc = json.loads(res.output)
     assert doc["bound_ok"] is True
     assert doc["value"] > 0
+
+
+def test_biriffle_of_the_maximally_mixed_three_qubit_pair(runner, tmp_path):
+    # I/8 commutes with every slot permutation but reaches outside the
+    # symmetric subspace: the uncompressed coset sum printed 0.05625
+    x = _write_op(tmp_path / "x.json", [(f"Q{i}", 2) for i in range(3)], np.eye(8) / 8)
+    res = runner.invoke(main, ["biriffle", x, x, "-d", "2"])
+    assert res.exit_code == 0, res.output
+    doc = json.loads(res.output)
+    assert doc["value"] == pytest.approx(0.015625, abs=1e-12)
+    assert doc["bound_ok"] is True
+
+
+def test_biriffle_has_no_symmetrize_flag(runner, tmp_path):
+    x = _write_op(tmp_path / "x.json", [("Q0", 2), ("Q1", 2)], np.eye(4) / 4)
+    res = runner.invoke(main, ["biriffle", x, x, "-d", "2", "--symmetrize"])
+    assert res.exit_code == 2, res.output
+    assert "unrecognized arguments: --symmetrize" in res.output
+
+
+def test_biriffle_pair_runs_the_coset_sum_once(runner, tmp_path, monkeypatch):
+    import qrealize.symmetrizer as symmetrizer_mod
+    from qrealize.partitions import double_cosets
+
+    calls = []
+
+    def counted(n, k):
+        calls.append((n, k))
+        return double_cosets(n, k)
+
+    monkeypatch.setattr(symmetrizer_mod, "double_cosets", counted)
+    rng = np.random.default_rng(4)
+    m = rng.normal(size=(4, 4))
+    x1 = _write_op(tmp_path / "x1.json", [("Q0", 2), ("Q1", 2)], m @ m.T)
+    x2 = _write_op(tmp_path / "x2.json", [("Q0", 2), ("Q1", 2)], np.eye(4) / 4)
+    res = runner.invoke(main, ["biriffle", x1, x2, "-d", "2"])
+    assert res.exit_code == 0, res.output
+    assert calls == [(2, 2)]
+    assert json.loads(res.output)["value"] == pytest.approx(
+        symmetrizer_mod.biriffle_bruteforce([m @ m.T, np.eye(4) / 4], 2), rel=1e-12)
 
 
 def test_biriffle_on_eight_qubit_slots_runs(runner, tmp_path):
@@ -470,8 +510,8 @@ def test_biriffle_on_eight_qubit_slots_runs(runner, tmp_path):
 
 def test_biriffle_symmetrize_on_ten_qubit_slots_runs(runner, tmp_path):
     # 10 qubit slots: 10! permutations exceed the permutation cap, which the
-    # symmetric compression no longer needs; the file is written directly,
-    # since the tests' writer is slow at 1024^2
+    # symmetric compression every input gets does not need; the file is
+    # written directly, since the tests' writer is slow at 1024^2
     from qrealize.symmetrizer import biriffle_value, symmetrize_operator
 
     rng = np.random.default_rng(10)
@@ -479,7 +519,7 @@ def test_biriffle_symmetrize_on_ten_qubit_slots_runs(runner, tmp_path):
     x = tmp_path / "x.json"
     x.write_text(json.dumps({"labels": [[f"Q{i}", 2] for i in range(10)],
                              "re": (mat + mat.T).tolist()}))
-    res = runner.invoke(main, ["biriffle", str(x), str(x), "--dim", "2", "--symmetrize"])
+    res = runner.invoke(main, ["biriffle", str(x), str(x), "--dim", "2"])
     assert res.exit_code == 0, res.output
     sym = symmetrize_operator(mat + mat.T, 2)
     assert json.loads(res.output)["value"] == pytest.approx(biriffle_value([sym, sym], 2),
@@ -489,7 +529,7 @@ def test_biriffle_symmetrize_on_ten_qubit_slots_runs(runner, tmp_path):
 def test_biriffle_takes_no_budget_flags(runner, tmp_path):
     x = _write_op(tmp_path / "x.json", [(f"Q{i}", 2) for i in range(3)], np.eye(8) / 8)
     for flag in ("--budget-perms", "--budget-dim"):
-        res = runner.invoke(main, ["biriffle", x, x, "--dim", "2", "--symmetrize", flag, "6"])
+        res = runner.invoke(main, ["biriffle", x, x, "--dim", "2", flag, "6"])
         assert res.exit_code == 2, res.output
         assert f"unrecognized arguments: {flag}" in res.output
 

@@ -285,11 +285,13 @@ def test_ten_slot_symmetric_projector_and_symmetrize_run():
     p = sym_projector(2, 10)
     assert p.trace().real == pytest.approx(11)      # binom(10 + 1, 10)
     rng = np.random.default_rng(10)
-    x = symmetrize_operator(rng.normal(size=(1024, 1024)), 2)
+    raw = rng.normal(size=(1024, 1024))
+    x = symmetrize_operator(raw, 2)
     shift = permutation_operator(space(("Q", 2)), (*range(1, 10), 0)).mat.real
     assert np.abs(shift @ x @ shift.T - x).max() <= 1e-12
     assert np.abs(p.mat @ x @ p.mat - x).max() <= 1e-12
-    assert biriffle_value([x, x], 2, symmetrize=True) == \
+    # biriffle_value compresses its inputs itself, on ten slots too
+    assert biriffle_value([raw, raw], 2) == \
         pytest.approx(biriffle_value([x, x], 2), rel=1e-12)
 
 
@@ -325,7 +327,7 @@ def test_symmetric_routes_never_sum_permutations(monkeypatch):
     sym_projector(3, 3)
     uniform_sym_state(3, 3)
     y = symmetrize_operator(x @ x.T, 3)
-    biriffle_value([x @ x.T, y], 3, symmetrize=True)
+    biriffle_value([x @ x.T, y], 3)
     bibiriffle_lower_bound(y, y, 3)
 
 
@@ -372,12 +374,36 @@ def test_biriffle_two_blocks_against_dense_uniform_state():
 
 
 def test_biriffle_symmetrize_flag():
+    # an input off the symmetric subspace is compressed first
     rng = np.random.default_rng(21)
     m = rng.normal(size=(4, 4))
     m = m @ m.T  # PSD but not swap-invariant
     direct = biriffle_value([symmetrize_operator(m, 2)] * 2, 2)
-    flagged = biriffle_value([m, m], 2, symmetrize=True)
-    assert flagged == pytest.approx(direct, abs=1e-12)
+    assert biriffle_value([m, m], 2) == pytest.approx(direct, abs=1e-12)
+
+
+def _random_hermitian(rng, size):
+    m = rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size))
+    return m + m.conj().T
+
+
+@pytest.mark.parametrize("d,n,k", [(2, 2, 2), (2, 2, 3), (2, 3, 2), (2, 3, 1), (2, 7, 1),
+                                   (2, 1, 7), (3, 2, 2), (3, 3, 1), (4, 2, 1)])
+def test_biriffle_value_equals_bruteforce_off_the_symmetric_subspace(d, n, k):
+    rng = np.random.default_rng(1000 * d + 10 * n + k)
+    xs = [_random_hermitian(rng, d ** n) for _ in range(k)]
+    assert biriffle_value(xs, d) == pytest.approx(biriffle_bruteforce(xs, d), rel=1e-12)
+
+
+def test_biriffle_value_equals_bruteforce_on_fixed_inputs_off_the_subspace():
+    # A x A and I/8 commute with every slot permutation, yet reach outside
+    # the symmetric subspace: the uncompressed coset sum read I/8 as 0.05625
+    a = _random_hermitian(np.random.default_rng(5), 2)
+    for x in (np.kron(a, a), np.eye(8) / 8):
+        for k in (1, 2):
+            assert biriffle_value([x] * k, 2) == \
+                pytest.approx(biriffle_bruteforce([x] * k, 2), rel=1e-12)
+    assert biriffle_value([np.eye(8) / 8] * 2, 2) == pytest.approx(1 / 64, rel=1e-12)
 
 
 def test_double_coset_cardinalities_cover_symmetric_group():
@@ -393,6 +419,23 @@ def test_bibiriffle_lower_bound_holds(d, n):
         x2 = random_sym_psd(rng, d, n)
         p, bound = bibiriffle_lower_bound(x1, x2, d)
         assert p >= bound - 1e-10
+
+
+def test_bibiriffle_lower_bound_holds_off_the_symmetric_subspace():
+    # |u><u| on three qubit slots, u = |000> + 3|001> - |011> - |101>: 5/9
+    # of its weight lies off the symmetric subspace, and Tr(S^T X X S) / 4 / 6
+    # = 2.667 exceeded the true p_n = 2.419 before both came from S^T X S
+    u = np.array([1.0, 3, 0, -1, 0, -1, 0, 0])
+    pairs = [(np.outer(u, u), np.outer(u, u), 2)]
+    rng = np.random.default_rng(57)
+    for d, n in [(2, 2), (2, 3), (3, 2)]:
+        for _ in range(3):
+            x1, x2 = (m @ m.conj().T for m in (_random_hermitian(rng, d ** n) for _ in "ab"))
+            pairs.append((x1, x2, d))
+    for x1, x2, d in pairs:
+        p, bound = bibiriffle_lower_bound(x1, x2, d)
+        assert p >= bound - 1e-10
+        assert p == pytest.approx(biriffle_bruteforce([x1, x2], d), rel=1e-12)
 
 
 def test_wiring_sum_rejects_layout_mismatch():
